@@ -1,6 +1,6 @@
 """thermosim benchmark: end-to-end and per-layer metrics for one workload.
 
-    python3 perfbench/run.py --workload ensemble --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload ensemble --seed 1 --seconds 40 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Run it from the repository root.  ``--trace 0`` measures the end-to-end
@@ -9,7 +9,9 @@ run of the workload's jobs, never two at once) until ``--seconds`` have
 passed, and reports medians.  ``--trace 1`` runs the workload once untraced
 and twice traced, and every other workload once traced, then reports every
 per-layer metric from the workload that exercises it.  The last line of
-standard output is the result as one JSON object.  See NOTES.md.
+standard output is the result as one JSON object.  ``programmed`` runs here
+like the others, but BENCHMARK.json leaves it out of the gated workloads
+because its wall time is too unsteady; see NOTES.md.
 """
 
 from __future__ import annotations
@@ -89,10 +91,16 @@ def _failures(results):
 def timed_run(root, base, env, workload, seed, seconds):
     runs = []
     start = _now()
-    while len(runs) < ACCURACY_REPS or _now() - start < seconds:
+    while True:
         rep_start = _now()
         runs.append(_launch(root, base, env, workload, seed, len(runs), 0))
-        if _now() - start + (_now() - rep_start) > DEADLINE_S:
+        took, elapsed = _now() - rep_start, _now() - start
+        # Start another run only if, taking as long as this one, it would end
+        # nearer to --seconds than stopping now does.  This keeps the length
+        # of a whole benchmark pass close to its planned budget.
+        if len(runs) >= ACCURACY_REPS and elapsed + took / 2 > seconds:
+            break
+        if elapsed + took > DEADLINE_S:
             break
     attempted, failed, unexpected = _failures(runs)
     accuracy = [r["accuracy_err"] for r in runs[:ACCURACY_REPS]]
@@ -188,7 +196,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     root = Path.cwd()

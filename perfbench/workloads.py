@@ -248,9 +248,9 @@ def programmed(seed, rep, out):
 
 # -------------------------------------------------------------------- demon
 
-DEMON = {"dim": 2, "train_steps": 600, "batch": 256, "T": 3.0, "beta": 2.0,
-         "sample_dt": 1e-2, "n_samples": 2000, "sample_tol": 0.5,
-         "stateful_traj": 128, "stateful_tf": 1.0, "stateful_dt": 2e-3, "k": 0.5,
+DEMON = {"dim": 2, "train_steps": 2000, "learning_rate": 3e-3, "batch": 256, "T": 3.0,
+         "beta": 2.0, "sample_dt": 1e-2, "n_samples": 2000, "sample_tol": 0.5,
+         "stateful_traj": 256, "stateful_tf": 1.0, "stateful_dt": 4e-3, "k": 0.5,
          "stateful_tol": 0.6}
 
 
@@ -282,7 +282,7 @@ def demon_workload(seed, rep, out):
         "seed": _seed(rng), "data": {"kind": "gaussian", "mean": mean.tolist(),
                                      "cov": cov.tolist()},
         "beta": p["beta"], "T": p["T"], "model": {"vp": {"beta": p["beta"], "dim": n}},
-        "train": {"mode": "in_situ", "steps": p["train_steps"], "learning_rate": 1e-2,
+        "train": {"mode": "in_situ", "steps": p["train_steps"], "learning_rate": p["learning_rate"],
                   "batch_size": p["batch"]}}, out)
     sample = _cli_job("sample", "sample-diffusion", {
         "seed": _seed(rng), "dim": n, "kind": "vp", "T": p["T"], "beta": p["beta"],
