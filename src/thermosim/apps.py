@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_sde import SDEModel, trajectory_rng
+from .core_sde import SDEModel, _grid, trajectory_rng
 from .demon import ForceDemon
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DivergenceError
 from .potentials import (DoubleWellPotential, Gaussian, GaussianMixture,
                          NegativeLogDensityPotential, QuadraticPotential,
                          central_difference_gradient)
@@ -56,7 +56,7 @@ def diffusion_forward(spec: DiffusionSpec, x0_batch, dt, seed):
     X = np.atleast_2d(np.asarray(x0_batch, dtype=float)).copy()
     if not np.all(np.isfinite(X)):
         raise ContractViolationError("x0 batch must be finite")
-    n_steps = int(round(spec.T / dt))
+    n_steps = _grid(0.0, spec.T, dt)
     rng = trajectory_rng(seed, 0)
     out = np.empty((X.shape[0], n_steps + 1, spec.dim))
     out[:, 0] = X
@@ -74,7 +74,7 @@ def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
     """Generate by running the time-reparameterized reverse SDE from the
     noise prior:  dx = [-f(T-tau) x + g(T-tau)^2 s(x, T-tau)] dtau
     + g(T-tau) dw."""
-    n_steps = int(round(spec.T / dt))
+    n_steps = _grid(0.0, spec.T, dt)
     rng = trajectory_rng(seed, 0)
     X = spec.prior_sample(rng, n_samples)
     tau = 0.0
@@ -134,6 +134,15 @@ def _burn(chain, burn_in):
     return chain[k:]
 
 
+def _check_chain(name, chain, step_time):
+    """Raise DivergenceError at the first non-finite row of a finished chain;
+    row k holds the state after step k + 1, at time step_time(k)."""
+    bad = ~np.all(np.isfinite(chain), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DivergenceError(f"{name} chain diverged at step {k + 1}, t={step_time(k):g}")
+
+
 def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
                  n_steps=10000, dt=1e-2, seed=0, gradient_noise="exact",
                  noise_cov=None, x0=None, burn_in=0.2):
@@ -175,6 +184,7 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
         p = p + (force - B @ (Minv @ p)) * dt + noise_chol @ rng.standard_normal(n) * sqdt
         demon.advance(k * dt, p, None, dt)
         chain[k] = demon.x
+    _check_chain("sghmc", chain, lambda k: (k + 1) * dt)
     return _burn(chain, burn_in)
 
 
@@ -200,6 +210,8 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
             grad_log_pi = minibatch_model.grad_log_posterior(theta, rng)
         theta = theta + 0.5 * eps * grad_log_pi + np.sqrt(eps) * rng.standard_normal(n)
         chain[k] = theta
+    # Step k advances Langevin time by eps_k.
+    _check_chain("sgld", chain, lambda k: sum(eps_fn(j) for j in range(k + 1)))
     return _burn(chain, burn_in)
 
 
@@ -290,6 +302,7 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
         if val < best_val:
             best_val, best_x = val, x.copy()
         chain[k] = x
+    _check_chain("anneal", chain, lambda k: (k + 1) * dt)
     return best_x, _burn(chain, burn_in)
 
 
@@ -326,7 +339,7 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
     if H.shape[1] != spec.hidden_dim:
         raise ContractViolationError("input batch width must equal hidden_dim")
     w = np.zeros(spec.weight_dim) if w0 is None else np.asarray(w0, dtype=float).reshape(-1)
-    n_steps = int(round(T / dt))
+    n_steps = _grid(0.0, T, dt)
     rng = trajectory_rng(seed, 0)
     Hs = np.empty((n_steps + 1,) + H.shape)
     Ws = np.empty((n_steps + 1, spec.weight_dim))

@@ -112,7 +112,7 @@ def _write_chain_csv(path, chain, header=None):
 
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _chain_metrics(chain):
@@ -197,6 +197,7 @@ def simulate(config, output_dir, seed, threads):
         tf = float(_get(cfg, "tf", required=True))
         dt = float(_get(cfg, "dt", required=True))
         init = _get(cfg, "initial")
+        cov0 = np.zeros((model.dim, model.dim))
         if init is None:
             sampler, v0 = fixed_initial(np.zeros(model.dim)), np.zeros(model.dim)
         elif init.get("kind") == "fixed":
@@ -205,6 +206,7 @@ def simulate(config, output_dir, seed, threads):
         elif init.get("kind") == "gaussian":
             sampler = gaussian_initial(init["mean"], init["cov"])
             v0 = np.asarray(init["mean"], dtype=float)
+            cov0 = np.asarray(init["cov"], dtype=float)
         else:
             raise ConfigError("config field initial.kind must be fixed or gaussian")
         traj = simulate_trajectory(model, program, None, v0, t0, tf, dt, cfg["seed"])
@@ -213,8 +215,7 @@ def simulate(config, output_dir, seed, threads):
         summary = simulate_ensemble(model, program, None, sampler, t0, tf, dt,
                                     n_traj, cfg["seed"])
         summary.to_json(out / "moments.json")
-        oracle = propagate_moments(model, program, v0,
-                                   np.zeros((model.dim, model.dim)), t0, tf, dt)
+        oracle = propagate_moments(model, program, v0, cov0, t0, tf, dt)
         _write_json(out / "oracle_moments.json", {
             "times": [m.t for m in oracle],
             "mean": [m.mean.tolist() for m in oracle],

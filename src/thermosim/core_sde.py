@@ -22,6 +22,15 @@ from .errors import ContractViolationError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
 
+# Ensemble noise is drawn per stream in time blocks into one reused buffer of
+# at most NOISE_BLOCK_BYTES per chunk, and at most NOISE_BLOCK_STEPS rows per
+# stream: longer draws no longer amortize the per-call cost, so they would
+# only cost memory.  States are stepped in sub-blocks of SUB_BLOCK_BYTES,
+# small enough to stay in cache between the noise map and the step loop.
+NOISE_BLOCK_BYTES = 16 * 2 ** 20
+NOISE_BLOCK_STEPS = 512
+SUB_BLOCK_BYTES = 2 ** 20
+
 
 def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based independent stream for trajectory `index`."""
@@ -158,7 +167,7 @@ class EnsembleSummary:
             "cov": self.covs.tolist(),
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            json.dump(doc, fh, allow_nan=False)
 
 
 def _check_coeffs(model, coeffs):
@@ -200,45 +209,130 @@ def _grid(t0, tf, dt):
     return n_steps
 
 
-def _coeff_table(model, program, times):
-    """Coefficients at each step start time; constant tuple when no program."""
+def _propagators(model, program, step_times, dt):
+    """Per-step maps of the Euler-Maruyama update on row states,
+
+        V_{k+1} = V_k M_k + (noise_k S_k + c_k) + d_k E_k,
+
+    with M = I + dt A^T, S = sqrt(dt) C^T, c = dt b and E = dt D^T built from
+    the coefficients at each step start time.  Each is indexable by step;
+    without a program they are broadcast views of one map.
+    """
     if program is None:
-        A, b, C, D = model.coefficients(0.0)
-        return [(A, b, C, D)] * len(times)
-    return [program.coefficients(model, t) for t in times]
+        table = [model.coefficients(0.0)]
+    else:
+        table = [program.coefficients(model, t) for t in step_times]
+    A, b, C, D = (np.array(x, dtype=float) for x in zip(*table))
+    n, m = model.dim, model.demon_dim
+    if A.shape[1:] != (n, n) or b.shape[1:] != (n,) or C.shape[1:] != (n, n) \
+            or D.shape[1:] != (n, m):
+        raise ContractViolationError("coefficient shapes inconsistent with model")
+    maps = (np.eye(n) + dt * A.transpose(0, 2, 1), np.sqrt(dt) * C.transpose(0, 2, 1),
+            dt * b, dt * D.transpose(0, 2, 1))
+    return tuple(np.broadcast_to(x, (len(step_times),) + x.shape[1:]) for x in maps)
+
+
+def _block_steps(m, n, n_steps):
+    """Steps per noise block and per state sub-block for m streams of dimension n."""
+    row = 8 * m * n
+    block = max(1, min(n_steps, NOISE_BLOCK_STEPS, NOISE_BLOCK_BYTES // row))
+    return block, max(1, min(block, SUB_BLOCK_BYTES // row))
+
+
+def _check_diverged(X, k, start, step_times, dt):
+    """Raise for the first step, then the first trajectory, whose state in
+    X (steps k, k+1, ... by batch by N) is non-finite or runaway."""
+    if X.max() <= DIVERGENCE_LIMIT and X.min() >= -DIVERGENCE_LIMIT:
+        return
+    j, i = np.argwhere(~np.all(np.abs(X) <= DIVERGENCE_LIMIT, axis=2))[0]
+    raise DivergenceError(f"trajectory {start + i} diverged at t={step_times[k + j] + dt:g}")
+
+
+def _integrate(props, step_times, dt, demon, initial_sampler, base_seed, start, stop,
+               observe):
+    """Step trajectories start..stop-1 over the whole grid; return final states.
+
+    Trajectory i draws its initial state, then its noise, from
+    trajectory_rng(base_seed, i), one time block at a time into a reused
+    (m, block, N) buffer.  Each block is stepped in cache-sized sub-blocks:
+    the noise map, the divergence check and ``observe(k, X)`` (X holds the
+    states at grid indices k, k+1, ...) run once per sub-block.  With a demon
+    the divergence check runs every step, before the demon sees the state.
+    """
+    M, S, c, E = props
+    n_steps, n = len(step_times), M.shape[-1]
+    m = stop - start
+    rngs = [trajectory_rng(base_seed, i) for i in range(start, stop)]
+    V0 = np.array([initial_sampler(rng) for rng in rngs], dtype=float)
+    if V0.shape != (m, n):
+        raise ContractViolationError("initial state dimension mismatch")
+    observe(0, V0[None])
+    clones = None
+    if demon is not None and not getattr(demon, "stateless", False):
+        clones = []
+        for _ in range(m):
+            clone = demon.clone()
+            clone.reset()
+            clones.append(clone)
+
+    block, sub = _block_steps(m, n, n_steps)
+    noise = np.empty((m, block, n))
+    Vs = np.empty((sub + 1, m, n))  # Vs[0] is the state before the sub-block
+    Vs[0] = V0
+    drift = np.empty((m, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, block):
+            nb = min(block, n_steps - k0)
+            for i, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[i, :nb])
+            for j0 in range(0, nb, sub):
+                s, k = min(sub, nb - j0), k0 + j0
+                X = Vs[1:s + 1]
+                np.matmul(noise[:, j0:j0 + s].transpose(1, 0, 2), S[k:k + s], out=X)
+                X += c[k:k + s, None]
+                for j in range(s):
+                    V = Vs[j]
+                    X[j] += np.matmul(V, M[k + j], out=drift)
+                    if demon is None:
+                        continue
+                    t = step_times[k + j]
+                    if clones is None:
+                        X[j] += demon.query_batch(t, V) @ E[k + j]
+                    else:
+                        d = np.stack([cl.query(t, V[i]) for i, cl in enumerate(clones)])
+                        X[j] += d @ E[k + j]
+                    _check_diverged(X[j:j + 1], k + j, start, step_times, dt)
+                    if clones is not None:
+                        dV = (X[j] - V) / dt
+                        for i, cl in enumerate(clones):
+                            cl.advance(t, V[i], dV[i], dt)
+                if demon is None:
+                    _check_diverged(X, k, start, step_times, dt)
+                observe(k + 1, X)
+                Vs[0] = Vs[s]
+    return Vs[0].copy()
 
 
 def simulate_trajectory(model: SDEModel, program=None, demon=None, v0=None, t0=0.0,
                         tf=1.0, dt=1e-2, seed=0) -> Trajectory:
     """Sample one path of the (possibly programmed, demon-driven) SDE.
 
-    Deterministic given (seed, dt): noise draws come from a dedicated
-    counter-based stream, one (n_steps, N) block per trajectory.
+    Deterministic given (seed, dt): the path is member 0 of a one-trajectory
+    batch drawing from trajectory_rng(seed, 0), so it equals
+    simulate_ensemble(n_traj=1, base_seed=seed) bit for bit.
     """
     n_steps = _grid(t0, tf, dt)
     v0 = np.zeros(model.dim) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     if v0.shape != (model.dim,):
         raise ContractViolationError("v0 dimension mismatch")
-    rng = trajectory_rng(seed, 0)
-    noise = rng.standard_normal((n_steps, model.dim))
     step_times = t0 + dt * np.arange(n_steps)
-    coeffs = _coeff_table(model, program, step_times)
-
-    if demon is not None:
-        demon = demon.clone()
-        demon.reset()
-
     values = np.empty((n_steps + 1, model.dim))
-    values[0] = v0
-    state = StateVector(t0, v0)
-    for k in range(n_steps):
-        d = None if demon is None else demon.query(state.t, state.v)
-        new_state = euler_maruyama_step(model, coeffs[k], d, state, dt, noise[k])
-        if demon is not None:
-            dv_dt = (new_state.v - state.v) / dt
-            demon.advance(state.t, state.v, dv_dt, dt)
-        state = new_state
-        values[k + 1] = state.v
+
+    def record(k, X):
+        values[k:k + len(X)] = X[:, 0]
+
+    _integrate(_propagators(model, program, step_times, dt), step_times, dt, demon,
+               fixed_initial(v0), seed, 0, 1, record)
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = tf
     return Trajectory(times, values)
@@ -271,10 +365,13 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
                       chunk_size=4096, keep_final=False) -> EnsembleSummary:
     """Integrate `n_traj` independent trajectories and summarize their moments.
 
-    Per-trajectory streams are derived from (base_seed, index), so member 0
-    reproduces simulate_trajectory(seed=base_seed) bit for bit.  Stateless
-    demons are queried on whole batches; stateful demons are cloned per
-    trajectory.
+    Per-trajectory streams are derived from (base_seed, index).  At n_traj=1
+    member 0 reproduces simulate_trajectory(seed=base_seed) bit for bit; in
+    larger batches it agrees to rounding, since BLAS may round a row of a
+    batched product differently.  Stateless demons are queried on whole
+    batches; stateful demons are cloned per trajectory.  Noise is drawn in
+    time blocks, so memory holds chunk x block x N noise values whatever
+    n_steps is.
     """
     if n_traj < 1:
         raise ContractViolationError("n_traj must be at least 1")
@@ -283,54 +380,19 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     if initial_sampler is None:
         initial_sampler = fixed_initial(np.zeros(n))
     step_times = t0 + dt * np.arange(n_steps)
-    coeffs = _coeff_table(model, program, step_times)
-    sqdt = np.sqrt(dt)
-
-    batched_demon = demon is not None and getattr(demon, "stateless", False)
+    props = _propagators(model, program, step_times, dt)
     sum_v = np.zeros((n_steps + 1, n))
     sum_vv = np.zeros((n_steps + 1, n, n))
     finals = np.empty((n_traj, n)) if keep_final else None
 
+    def accumulate(k, X):
+        sum_v[k:k + len(X)] += np.matmul(np.ones(X.shape[1]), X)
+        sum_vv[k:k + len(X)] += np.matmul(X.transpose(0, 2, 1), X)
+
     for start in range(0, n_traj, chunk_size):
         stop = min(start + chunk_size, n_traj)
-        m = stop - start
-        V = np.empty((m, n))
-        noise = np.empty((m, n_steps, n))
-        for i in range(m):
-            rng = trajectory_rng(base_seed, start + i)
-            V[i] = initial_sampler(rng)
-            noise[i] = rng.standard_normal((n_steps, n))
-        clones = None
-        if demon is not None and not batched_demon:
-            clones = []
-            for _ in range(m):
-                c = demon.clone()
-                c.reset()
-                clones.append(c)
-        sum_v[0] += V.sum(axis=0)
-        sum_vv[0] += V.T @ V
-        for k in range(n_steps):
-            t = step_times[k]
-            A, b, C, D = coeffs[k]
-            drift = V @ A.T + b
-            if batched_demon:
-                drift = drift + demon.query_batch(t, V) @ D.T
-            elif clones is not None:
-                d = np.stack([c.query(t, V[i]) for i, c in enumerate(clones)])
-                drift = drift + d @ D.T
-            V_new = V + drift * dt + noise[:, k, :] @ C.T * sqdt
-            if not np.all(np.isfinite(V_new)) or np.max(np.abs(V_new)) > DIVERGENCE_LIMIT:
-                bad = np.where(~np.all(np.isfinite(V_new), axis=1)
-                               | (np.max(np.abs(V_new), axis=1) > DIVERGENCE_LIMIT))[0][0]
-                raise DivergenceError(
-                    f"trajectory {start + bad} diverged at t={t + dt:g}")
-            if clones is not None:
-                dV = (V_new - V) / dt
-                for i, c in enumerate(clones):
-                    c.advance(t, V[i], dV[i], dt)
-            V = V_new
-            sum_v[k + 1] += V.sum(axis=0)
-            sum_vv[k + 1] += V.T @ V
+        V = _integrate(props, step_times, dt, demon, initial_sampler, base_seed,
+                       start, stop, accumulate)
         if keep_final:
             finals[start:stop] = V
 

@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from thermosim import (AnalyticScoreDemon, ConjugateGaussianModel,
-                       ContractViolationError, DiffusionSpec, Gaussian,
+                       ContractViolationError, DiffusionSpec, DivergenceError,
+                       Gaussian,
                        GateProgram, GateSegment, Generator, NSDESpec,
                        SDEModel, Schedule, TargetDistribution, VPSchedule,
                        anneal, diffusion_forward, diffusion_reverse,
@@ -56,6 +57,11 @@ class TestDiffusionForward:
         with pytest.raises(ContractViolationError):
             diffusion_forward(spec, [[np.nan]], 0.01, seed=0)
 
+    def test_dt_must_divide_horizon(self):
+        spec = DiffusionSpec("vp", 1, T=1.0)
+        with pytest.raises(ContractViolationError):
+            diffusion_forward(spec, [[0.0]], 0.3, seed=0)
+
 
 class TestDiffusionReverse:
     def test_gaussian_recovery(self):
@@ -94,6 +100,12 @@ class TestDiffusionReverse:
         assert abs(out.mean() - 0.5) < 3 * se_mean + 0.02
         assert abs(out.var() - 0.5) / 0.5 < 0.1
 
+    def test_dt_must_divide_horizon(self):
+        sched = VPSchedule(beta_min=2.0, T=1.0)
+        spec = DiffusionSpec("vp", 1, T=1.0, schedule=sched)
+        with pytest.raises(ContractViolationError):
+            diffusion_reverse(spec, gaussian_score_demon([0.0], 1.0, sched), 10, 0.3, seed=0)
+
 
 class TestTargets:
     def test_gradient_fd_consistency(self):
@@ -128,6 +140,13 @@ class TestSGHMC:
         width = edges[1] - edges[0]
         tv = 0.5 * np.sum(np.abs(hist - ref)) * width
         assert tv < 0.08
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raised_with_first_bad_step(self):
+        # With no force, dt = 3 makes the momentum update p <- -2 p + noise.
+        flat = TargetDistribution("flat", 1, _ZeroPotential())
+        with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step \d+, t="):
+            sghmc_sample(flat, n_steps=2000, dt=3.0, seed=0)
 
     def test_zero_gradient_momentum_is_ou(self):
         """With grad U = 0 and B = I the momentum is an OU process and x an
@@ -190,6 +209,15 @@ class TestSGLD:
         # independent increments sums to n*eps
         increments = np.diff(np.concatenate([[0.0], chain[:, 0]]))
         assert abs(increments.var() - eps) / eps < 0.05
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raised_with_first_bad_step(self):
+        # eps = 2.5 makes the quadratic update theta <- -0.25 theta + noise
+        # stable, eps = 10 makes it theta <- -4 theta + noise.
+        with pytest.raises(DivergenceError,
+                           match=r"^sgld chain diverged at step \d+, t=\d+"):
+            sgld_sample(gaussian_target([0.0], [[1.0]]), step_sizes=10.0,
+                        n_steps=2000, seed=0)
 
     def test_increasing_steps_rejected(self):
         target = gaussian_target([0.0], [[1.0]])
@@ -262,6 +290,11 @@ class TestAnneal:
             occ.append(np.mean(vals))
         assert occ[0] < occ[1] < occ[2]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raised_with_first_bad_step(self):
+        with pytest.raises(DivergenceError, match=r"^anneal chain diverged at step \d+, t="):
+            anneal(double_well_target(2), n_steps=200, dt=0.5, seed=1)
+
     def test_non_lower_triangular_rejected(self):
         target = double_well_target(2)
         with pytest.raises(ContractViolationError):
@@ -322,6 +355,11 @@ class TestWeightDiffuser:
         with pytest.raises(ContractViolationError):
             weight_diffuser_rollout(spec, "posterior", [[0.0, 0.0]], 1.0,
                                     0.01, seed=0)
+
+    def test_dt_must_divide_horizon(self):
+        with pytest.raises(ContractViolationError):
+            weight_diffuser_rollout(self.make_spec(), "prior", [[0.0, 0.0]], 1.0,
+                                    0.3, seed=0)
 
     def test_determinism(self):
         spec = self.make_spec(sigma=0.3, f_w=lambda t, w: -w)

@@ -74,6 +74,17 @@ class TestSimulate:
         result = run_cli(["simulate", path])
         assert result.exit_code == 3
 
+    def test_oracle_starts_at_initial_covariance(self, tmp_path):
+        cfg = {"seed": 1, "model": {"vp": {"beta": 2.0, "dim": 2}},
+               "tf": 0.1, "dt": 0.01, "n_traj": 20,
+               "initial": {"kind": "gaussian", "mean": [0.0, 1.0],
+                           "cov": [[1.0, 0.3], [0.3, 0.5]]},
+               "output_dir": str(tmp_path / "o")}
+        assert run_cli(["simulate", write_config(tmp_path, "c.yaml", cfg)]).exit_code == 0
+        oracle = json.loads((tmp_path / "o" / "oracle_moments.json").read_text())
+        assert oracle["cov"][0] == cfg["initial"]["cov"]
+        assert oracle["mean"][0] == cfg["initial"]["mean"]
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = self.cfg()
         out1, out2 = tmp_path / "1", tmp_path / "2"
@@ -117,6 +128,14 @@ class TestSamplers:
         assert run_cli(["anneal", path]).exit_code == 0
         metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert "best_x" in metrics
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_anneal_divergence_exit_3(self, tmp_path):
+        cfg = {"seed": 1, "loss": {"kind": "double_well", "dim": 2}, "dt": 0.5,
+               "output_dir": str(tmp_path / "o")}
+        result = run_cli(["anneal", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 3
+        assert not (tmp_path / "o" / "metrics.json").exists()
 
     def test_sample_diffusion(self, tmp_path):
         cfg = {"seed": 2, "dim": 1, "kind": "vp", "T": 1.0, "beta": 2.0,

@@ -1,16 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermosim import (ContractViolationError, DivergenceError, SDEModel,
-                       StateVector, euler_maruyama_step, fixed_initial,
-                       gaussian_initial, monte_carlo_expectation,
-                       propagate_moments, simulate_ensemble,
-                       simulate_trajectory, stationary_covariance,
-                       trajectory_rng)
+from thermosim import (ContractViolationError, DivergenceError, GateProgram,
+                       GateSegment, Generator, SDEModel, Schedule,
+                       StateVector, TotalDerivativeDemon, core_sde,
+                       euler_maruyama_step, fixed_initial, gaussian_initial,
+                       monte_carlo_expectation, propagate_moments,
+                       simulate_ensemble, simulate_trajectory,
+                       stationary_covariance, trajectory_rng)
 
 
 def vp_model(dim=1, beta=2.0):
@@ -143,6 +145,108 @@ class TestSimulateEnsemble:
         doc = json.loads(path.read_text())
         assert set(doc) >= {"times", "mean", "cov"}
         assert len(doc["times"]) == 3
+
+
+def coupled_model():
+    return SDEModel(A0=[[-1.0, 0.4], [-0.3, -0.8]], b0=[0.2, -0.1],
+                    C0=[[0.5, 0.0], [0.2, 0.4]])
+
+
+def small_blocks(monkeypatch):
+    """Force noise blocks of 5 steps and state sub-blocks of 2 steps."""
+    monkeypatch.setattr(core_sde, "_block_steps",
+                        lambda m, n, n_steps: (min(n_steps, 5), min(n_steps, 2)))
+
+
+class TestBlockStepper:
+    """Contracts of the batched stepper behind both samplers."""
+
+    @pytest.mark.parametrize("case", ["bare", "program", "stateful_demon"])
+    def test_member_zero_matches_trajectory(self, case):
+        model, program, make_demon = coupled_model(), None, lambda: None
+        if case == "program":
+            program = GateProgram(schedule_b=Schedule(
+                [GateSegment(Generator.scalar("drift_vec", 1.0), 0.0, 1.0)]))
+        if case == "stateful_demon":
+            make_demon = lambda: TotalDerivativeDemon(
+                lambda t, v: 0.1 * v + t, lambda t, v: 0.2 * np.eye(2), [0.0, 0.0])
+        traj = simulate_trajectory(model, program, make_demon(), v0=[1.0, -0.5],
+                                   tf=1.0, dt=0.01, seed=17)
+        summary = simulate_ensemble(model, program, make_demon(),
+                                    fixed_initial([1.0, -0.5]), tf=1.0, dt=0.01,
+                                    n_traj=1, base_seed=17)
+        np.testing.assert_array_equal(summary.means, traj.values)
+
+    def test_matches_per_step_reference(self, monkeypatch):
+        """Against a loop of euler_maruyama_step fed one whole-grid draw of
+        the same stream: the block stepper regroups the float64 arithmetic
+        only, so the paths agree to rounding."""
+        small_blocks(monkeypatch)
+        model = coupled_model()
+        program = GateProgram(schedule_b=Schedule(
+            [GateSegment(Generator.scalar("drift_vec", 1.0), 0.0, 1.0)]))
+        traj = simulate_trajectory(model, program, v0=[1.0, -0.5], tf=1.0, dt=0.01, seed=17)
+        noise = trajectory_rng(17, 0).standard_normal((100, 2))
+        v, ref = np.array([1.0, -0.5]), [[1.0, -0.5]]
+        for k in range(100):
+            t = 0.01 * k
+            v = euler_maruyama_step(model, program.coefficients(model, t), None,
+                                    StateVector(t, v), 0.01, noise[k]).v
+            ref.append(v)
+        np.testing.assert_allclose(traj.values, ref, rtol=1e-12, atol=1e-12)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        kwargs = dict(initial_sampler=gaussian_initial([0.0, 1.0], np.eye(2)),
+                      tf=0.37, dt=0.01, n_traj=30, base_seed=5, keep_final=True)
+        a = simulate_ensemble(coupled_model(), **kwargs)
+        traj_a = simulate_trajectory(coupled_model(), tf=0.37, dt=0.01, seed=5)
+        small_blocks(monkeypatch)
+        b = simulate_ensemble(coupled_model(), **kwargs)
+        traj_b = simulate_trajectory(coupled_model(), tf=0.37, dt=0.01, seed=5)
+        np.testing.assert_array_equal(a.final_states, b.final_states)
+        np.testing.assert_array_equal(traj_a.values, traj_b.values)
+
+    def test_chunking_invariant_across_partial_blocks(self, monkeypatch):
+        small_blocks(monkeypatch)
+        kwargs = dict(initial_sampler=gaussian_initial([0.0, 1.0], np.eye(2)),
+                      tf=0.37, dt=0.01, n_traj=30, base_seed=5, keep_final=True)
+        a = simulate_ensemble(coupled_model(), chunk_size=7, **kwargs)
+        b = simulate_ensemble(coupled_model(), chunk_size=1000, **kwargs)
+        np.testing.assert_allclose(a.final_states, b.final_states, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(a.means, b.means, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(a.covs, b.covs, rtol=0, atol=1e-13)
+
+    def test_divergence_names_first_step_and_trajectory(self):
+        # Trajectory 37, in the third chunk, starts at 1e6 and grows by 1.01
+        # per step, so it passes 1e12 at step 1389 (t = 13.89), mid-block.
+        # The others start at 1 and would not pass it before t = 27.77.
+        calls = iter(range(50))
+
+        def initial(rng):
+            return np.array([1e6 if next(calls) == 37 else 1.0])
+
+        model = SDEModel(A0=[[1.0]], b0=[0.0], C0=[[0.0]])
+        with pytest.raises(DivergenceError, match=r"^trajectory 37 diverged at t=13\.89$"):
+            simulate_ensemble(model, initial_sampler=initial, tf=20.0, dt=0.01,
+                              n_traj=50, base_seed=0, chunk_size=16)
+
+    def test_noise_memory_does_not_grow_with_steps(self):
+        model = SDEModel(A0=-np.eye(4), b0=np.zeros(4), C0=np.eye(4))
+
+        def peak_mib(n_steps):
+            tracemalloc.start()
+            try:
+                simulate_ensemble(model, tf=n_steps * 1e-3, dt=1e-3, n_traj=256,
+                                  base_seed=3)
+                return tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_mib(10 ** 3), peak_mib(10 ** 4)
+        # Storing all the noise of the 10^4-step run would take 78 MiB.
+        assert long < 12.0
+        # Only the (n_steps, N, N) moment arrays grow with the grid.
+        assert long - short < 4.0
 
 
 class TestPropagateMoments:
