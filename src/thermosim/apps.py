@@ -178,7 +178,10 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
     chain = np.empty((n_steps, n))
     sqdt = np.sqrt(dt)
     for k in range(n_steps):
-        force = demon.query(k * dt, p)
+        force = demon.force(k * dt)
+        if not np.all(np.isfinite(force)):
+            chain[k:] = np.nan  # the force overflowed: no later state is defined
+            break
         if gradient_noise == "stochastic":
             force = force - grad_chol @ rng.standard_normal(n)
         p = p + (force - B @ (Minv @ p)) * dt + noise_chol @ rng.standard_normal(n) * sqdt

@@ -247,12 +247,11 @@ def sample_diffusion(config, output_dir, seed, threads):
         elif score_cfg.get("kind") == "analytic_gaussian":
             data = Gaussian(score_cfg["mean"], score_cfg["cov"])
 
-            def score_fn(x, t):
+            def score_fn(X, t):
                 a, var = spec.schedule.kernel(t)
-                mix = Gaussian(a * data.mean, a * a * data.cov + var * np.eye(dim))
-                return mix.score(x)
+                return Gaussian(a * data.mean, a * a * data.cov + var * np.eye(dim)).score(X)
 
-            score = AnalyticScoreDemon(score_fn, dim)
+            score = AnalyticScoreDemon(score_fn, dim, batched=True)
         else:
             raise ConfigError("config field score.kind must be checkpoint or analytic_gaussian")
         samples = diffusion_reverse(spec, score, int(_get(cfg, "n_samples", 1000)),

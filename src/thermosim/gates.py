@@ -330,12 +330,15 @@ def discrete_gate_sequence(target, generators, t0, dwell, compose=True) -> Sched
 
 
 def program_to_json(program: GateProgram, path=None):
-    """Serialize generator-based schedules; function segments are rejected."""
-    segments = []
+    """Serialize generator-based schedules; function segments are rejected.
+
+    `compose` maps each schedule's target to its own compose flag."""
+    segments, compose = [], {}
     for sched in (program.schedule_A, program.schedule_b, program.schedule_C,
                   program.schedule_D):
         if sched is None:
             continue
+        compose[sched.target] = sched.compose
         for seg in sched.segments:
             if not isinstance(seg, GateSegment):
                 raise ContractViolationError("only generator segments serialize to JSON")
@@ -343,9 +346,7 @@ def program_to_json(program: GateProgram, path=None):
             payload = gen.payload if gen.form == "scalar" else np.asarray(gen.payload).tolist()
             segments.append({"target": gen.target, "t_start": seg.t_start,
                              "t_end": seg.t_end, "form": gen.form, "payload": payload})
-    doc = {"segments": segments, "compose": all(
-        s.compose for s in (program.schedule_A, program.schedule_b,
-                            program.schedule_C, program.schedule_D) if s is not None)}
+    doc = {"segments": segments, "compose": compose}
     if path is not None:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
@@ -353,9 +354,13 @@ def program_to_json(program: GateProgram, path=None):
 
 
 def program_from_json(doc) -> GateProgram:
+    """Inverse of `program_to_json`.  `compose` is either a per-target map
+    or one flag shared by every schedule; a missing entry means True."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     compose = doc.get("compose", True)
+    if not isinstance(compose, dict):
+        compose = {seg["target"]: compose for seg in doc["segments"]}
     by_target = {}
     for seg in doc["segments"]:
         gen = Generator(seg["target"], seg["form"], seg["payload"])
@@ -364,7 +369,7 @@ def program_from_json(doc) -> GateProgram:
     schedules = {}
     for target, segs in by_target.items():
         segs.sort(key=lambda s: s.t_start)
-        schedules[target] = Schedule(segs, compose=compose)
+        schedules[target] = Schedule(segs, compose=compose.get(target, True))
     return GateProgram(
         schedule_A=schedules.get("drift_super"),
         schedule_b=schedules.get("drift_vec"),

@@ -7,7 +7,6 @@ samplers; the Gaussian / mixture classes double as score oracles.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ContractViolationError
 
@@ -85,11 +84,13 @@ class Gaussian:
         return self.mean.size
 
     def log_density(self, x):
+        """log N(x; mu, cov) for one point (n,) or a batch (..., n)."""
         r = np.asarray(x, dtype=float) - self.mean
-        return float(self._log_norm - 0.5 * r @ self.precision @ r)
+        return self._log_norm - 0.5 * (r * (r @ self.precision.T)).sum(-1)
 
     def score(self, x):
-        return -self.precision @ (np.asarray(x, dtype=float) - self.mean)
+        """-P (x - mu) for one point (n,) or a batch (..., n)."""
+        return -((np.asarray(x, dtype=float) - self.mean) @ self.precision.T)
 
     def sample(self, rng, n=None):
         shape = (self.dim,) if n is None else (n, self.dim)
@@ -98,7 +99,13 @@ class Gaussian:
 
 
 class GaussianMixture:
-    """Weighted Gaussian mixture; score is the responsibility-weighted sum."""
+    """Weighted Gaussian mixture; score is the responsibility-weighted sum.
+
+    Component means, precisions and log w_k + log_norm_k are stacked once, so
+    each evaluation is a few array operations over (..., K, n) for one point
+    (n,) or a batch (..., n).  Log-sum-exps are shifted by their maximum, so
+    a point far from every mode keeps finite responsibilities.
+    """
 
     def __init__(self, weights, components):
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -107,22 +114,31 @@ class GaussianMixture:
         if len(components) != self.weights.size:
             raise ContractViolationError("one component per weight")
         self.components = list(components)
+        if len({c.dim for c in self.components}) != 1:
+            raise ContractViolationError("components must share one dimension")
+        self._means = np.stack([c.mean for c in self.components])
+        self._precisions = np.stack([c.precision for c in self.components])
+        self._log_coef = np.log(self.weights) + np.array([c._log_norm for c in self.components])
 
     @property
     def dim(self):
         return self.components[0].dim
 
-    def _log_joint(self, x):
-        return np.array([np.log(w) + c.log_density(x)
-                         for w, c in zip(self.weights, self.components)])
+    def _terms(self, x):
+        """Per-component P_k (x - mu_k), shape (..., K, n), and log joints (..., K)."""
+        r = np.asarray(x, dtype=float)[..., None, :] - self._means
+        pr = np.matmul(self._precisions, r[..., None])[..., 0]
+        return pr, self._log_coef - 0.5 * (r * pr).sum(-1)
 
     def log_density(self, x):
-        return float(logsumexp(self._log_joint(x)))
+        lj = self._terms(x)[1]
+        top = lj.max(-1)
+        return top + np.log(np.exp(lj - top[..., None]).sum(-1))
 
     def score(self, x):
-        lj = self._log_joint(x)
-        resp = np.exp(lj - logsumexp(lj))
-        return np.sum([r * c.score(x) for r, c in zip(resp, self.components)], axis=0)
+        pr, lj = self._terms(x)
+        w = np.exp(lj - lj.max(-1, keepdims=True))
+        return -(w[..., None] * pr).sum(-2) / w.sum(-1, keepdims=True)
 
     def sample(self, rng, n=None):
         if n is None:

@@ -3,8 +3,9 @@
 States live in {0,1}^N.  Each allowed transition carries its own
 time-dependent rate schedule; event times are sampled by thinning against a
 per-segment rate bound (Lewis/Ogata), with competing clocks for coupled
-systems.  Small systems (N <= 12) also get an exact matrix-exponential
-oracle for the transient distribution.
+systems.  Small systems (N <= 12) also get an exact oracle for the
+transient distribution: a sparse generator applied to p by a Krylov
+matrix-exponential action.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core_sde import trajectory_rng
 from .errors import ContractViolationError
@@ -180,6 +180,7 @@ class SBitTrajectory:
 
     def __post_init__(self):
         ts = [t for t, _ in self.jumps]
+        self._times = ts
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ContractViolationError("jump times must be strictly increasing")
         prev = self.x0
@@ -189,12 +190,9 @@ class SBitTrajectory:
             prev = x
 
     def state_at(self, t: float) -> tuple:
-        x = self.x0
-        for tj, xj in self.jumps:
-            if tj > t:
-                break
-            x = xj
-        return x
+        """State at time t; at a jump time t_j the state is already x_j."""
+        j = bisect_right(self._times, t)
+        return self.jumps[j - 1][1] if j else self.x0
 
     def flip_times(self):
         return np.array([t for t, _ in self.jumps])
@@ -254,27 +252,47 @@ def index_state(idx: int, n_bits: int) -> tuple:
     return tuple((idx >> i) & 1 for i in range(n_bits))
 
 
+def _generators(system: SBitSystem, times):
+    """CSR 2^N x 2^N generators at each of `times`: off-diagonal (x, y) holds
+    the x->y rate, diagonals make rows sum to zero.  The jump pattern is
+    enumerated once; each time only re-evaluates the transition rates."""
+    import scipy.sparse as sp
+
+    size = 1 << system.n_bits
+    rows, cols, which = [], [], []
+    for i in range(size):
+        x = index_state(i, system.n_bits)
+        for k, trans in enumerate(system.transitions):
+            if trans.enabled(x):
+                rows.append(i)
+                cols.append(state_index(trans.successor(x)))
+                which.append(k)
+    rows, cols, which = (np.asarray(v, dtype=int) for v in (rows, cols, which))
+    diag = np.arange(size)
+    for t in times:
+        rates = np.array([trans.schedule.value(t) for trans in system.transitions])[which]
+        exits = np.bincount(rows, weights=rates, minlength=size)
+        yield sp.csr_matrix((np.concatenate([rates, -exits]),
+                             (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+                            shape=(size, size))
+
+
 def dense_generator(system: SBitSystem, t: float) -> np.ndarray:
-    """2^N x 2^N generator at time t: off-diagonal (x, y) holds the x->y
-    rate, diagonals make rows sum to zero."""
+    """Dense view of the 2^N x 2^N generator at time t."""
     n = system.n_bits
     if n > MAX_DENSE_BITS:
         raise ContractViolationError(
             f"dense generator refused for N={n}: 2^{n} states blow up")
-    size = 1 << n
-    G = np.zeros((size, size))
-    for i in range(size):
-        x = index_state(i, n)
-        for trans in system.transitions:
-            if trans.enabled(x):
-                j = state_index(trans.successor(x))
-                G[i, j] += trans.schedule.value(t)
-    np.fill_diagonal(G, G.diagonal() - G.sum(axis=1))
-    return G
+    return next(_generators(system, [t])).toarray()
 
 
 def transient_distribution(system: SBitSystem, p0, t: float) -> np.ndarray:
-    """Exact p(t) = p0 exp(G s) piecewise; rates must be piecewise-constant."""
+    """Exact p(t) = p0 exp(G s) piecewise; rates must be piecewise-constant.
+
+    Each constant-rate segment advances p by the action of exp(G^T s) on p
+    (Al-Mohy & Higham 2011), so no dense 2^N x 2^N exponential is formed."""
+    from scipy.sparse.linalg import expm_multiply
+
     n = system.n_bits
     if n > MAX_DENSE_BITS:
         raise ContractViolationError(
@@ -289,10 +307,10 @@ def transient_distribution(system: SBitSystem, p0, t: float) -> np.ndarray:
     for trans in system.transitions:
         pts |= trans.schedule.breakpoints(t)
     pts = sorted(pts)
-    p = p0.copy()
-    for a, b in zip(pts, pts[1:]):
-        G = dense_generator(system, (a + b) / 2)
-        p = p @ expm(G * (b - a))
+    p = p0
+    mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    for a, b, G in zip(pts, pts[1:], _generators(system, mids)):
+        p = expm_multiply(G.T * (b - a), p)
     p = np.clip(p, 0.0, None)
     if abs(p.sum() - 1) > 1e-9:
         raise ContractViolationError("transient distribution failed to normalize")

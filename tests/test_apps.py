@@ -148,6 +148,12 @@ class TestSGHMC:
         with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step \d+, t="):
             sghmc_sample(flat, n_steps=2000, dt=3.0, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_force_is_a_divergence(self):
+        # The double-well force 4x^3 overflows before the position does.
+        with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step \d+, t="):
+            sghmc_sample(double_well_target(1), dt=0.5, seed=0, x0=[2.0])
+
     def test_zero_gradient_momentum_is_ou(self):
         """With grad U = 0 and B = I the momentum is an OU process and x an
         integrated OU; compare x-variance growth against the linear oracle."""

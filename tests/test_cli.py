@@ -137,6 +137,15 @@ class TestSamplers:
         assert result.exit_code == 3
         assert not (tmp_path / "o" / "metrics.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sghmc_divergence_exit_3(self, tmp_path):
+        cfg = {"seed": 0, "target": {"kind": "double_well", "dim": 1}, "dt": 0.5,
+               "x0": [2.0], "output_dir": str(tmp_path / "o")}
+        result = run_cli(["sghmc", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 3
+        assert "sghmc chain diverged at step" in result.output
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
     def test_sample_diffusion(self, tmp_path):
         cfg = {"seed": 2, "dim": 1, "kind": "vp", "T": 1.0, "beta": 2.0,
                "dt": 0.01, "n_samples": 200,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -172,6 +174,32 @@ class TestSerialization:
             A2, b2, _, _ = back.coefficients(m, t)
             np.testing.assert_allclose(A1, A2, rtol=1e-12)
             np.testing.assert_allclose(b1, b2, rtol=1e-12)
+
+    def test_round_trip_keeps_per_schedule_compose(self):
+        def two_segments(target, compose):
+            return Schedule([GateSegment(Generator.scalar(target, 0.4), 0.0, 0.5),
+                             GateSegment(Generator.scalar(target, -0.7), 0.5, 1.0)],
+                            compose=compose)
+
+        prog = GateProgram(schedule_A=two_segments("drift_super", False),
+                           schedule_b=two_segments("drift_vec", True))
+        doc = program_to_json(prog)
+        assert doc["compose"] == {"drift_super": False, "drift_vec": True}
+        back = program_from_json(json.dumps(doc))
+        assert (back.schedule_A.compose, back.schedule_b.compose) == (False, True)
+        m = base_model()
+        for t in (0.2, 0.6, 0.9):
+            for c1, c2 in zip(prog.coefficients(m, t), back.coefficients(m, t)):
+                np.testing.assert_allclose(c1, c2, rtol=1e-12)
+
+    def test_top_level_compose_flag_still_read(self):
+        doc = {"segments": [{"target": t, "t_start": 0.0, "t_end": 1.0, "form": "scalar",
+                             "payload": 0.3} for t in ("drift_super", "drift_vec")],
+               "compose": False}
+        back = program_from_json(doc)
+        assert (back.schedule_A.compose, back.schedule_b.compose) == (False, False)
+        del doc["compose"]
+        assert program_from_json(doc).schedule_A.compose is True
 
     def test_function_segments_rejected(self):
         prog = GateProgram(schedule_b=single_smode_gate(

@@ -4,7 +4,7 @@ import pytest
 from thermosim import (ContractViolationError, RateSchedule, SBitSystem,
                        dense_generator, sample_coupled_trajectory,
                        sample_sbit_trajectory, transient_distribution)
-from thermosim.sbit import index_state, state_index
+from thermosim.sbit import Transition, index_state, state_index
 
 
 class TestRateSchedule:
@@ -199,3 +199,63 @@ def test_state_index_round_trip():
     for idx in range(16):
         assert state_index(index_state(idx, 4)) == idx
     assert state_index((1, 0, 0)) == 1  # bit 0 least significant
+
+
+def _scan_state_at(traj, t):
+    """The linear scan `state_at` replaced: last jump at or before t."""
+    x = traj.x0
+    for tj, xj in traj.jumps:
+        if tj > t:
+            break
+        x = xj
+    return x
+
+
+def test_state_at_matches_linear_scan():
+    s = RateSchedule.constant(2.0)
+    traj = sample_coupled_trajectory(SBitSystem.single_flip([s, s], [s, s]), (0, 1), 10.0,
+                                     seed=4)
+    ts = list(traj.flip_times())
+    assert len(ts) > 10
+    probes = [0.0, ts[0] / 2, 10.0] + ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+    for t in probes:
+        assert traj.state_at(t) == _scan_state_at(traj, t)
+    assert traj.state_at(ts[0]) == traj.jumps[0][1]
+
+
+def _dense_reference(system, t):
+    """Independent loop-built dense generator."""
+    size = 1 << system.n_bits
+    G = np.zeros((size, size))
+    for i in range(size):
+        x = index_state(i, system.n_bits)
+        for trans in system.transitions:
+            if trans.enabled(x):
+                G[i, state_index(trans.successor(x))] += trans.schedule.value(t)
+    return G - np.diag(G.sum(axis=1))
+
+
+def test_krylov_transient_matches_dense_expm():
+    """Four bits, single flips plus a swap of bits 0 and 3, three segments."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(5)
+    times = [0.0, 0.3, 0.7, 1.0]
+
+    def sched():
+        return RateSchedule.piecewise_constant(times, rng.uniform(0.2, 3.0, 3))
+
+    system = SBitSystem.single_flip([sched() for _ in range(4)], [sched() for _ in range(4)])
+
+    def swap(x):
+        return (x[3],) + tuple(x[1:3]) + (x[0],)
+
+    system.transitions.append(Transition(lambda x: x[0] != x[3], swap, sched(), "swap03"))
+    p0 = rng.dirichlet(np.ones(16))
+    expected = p0.copy()
+    for a, b in zip(times, times[1:]):
+        expected = expected @ expm(_dense_reference(system, (a + b) / 2) * (b - a))
+        np.testing.assert_allclose(dense_generator(system, (a + b) / 2),
+                                   _dense_reference(system, (a + b) / 2), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(transient_distribution(system, p0, 1.0), expected,
+                               rtol=0, atol=1e-12)
