@@ -45,6 +45,12 @@ class DiffusionSpec:
     def g(self, t):
         return np.sqrt(self.schedule.beta(t)) if self.kind == "vp" else self.c0
 
+    def kernel(self, t):
+        """(mean factor, per-coordinate variance) of p(x_t | x_0)."""
+        if self.kind == "vp":
+            return self.schedule.kernel(t)
+        return 1.0, self.c0 ** 2 * t
+
     def prior_sample(self, rng, n):
         std = 1.0 if self.kind == "vp" else self.c0 * np.sqrt(self.T)
         return std * rng.standard_normal((n, self.dim))

@@ -248,7 +248,7 @@ def sample_diffusion(config, output_dir, seed, threads):
             data = Gaussian(score_cfg["mean"], score_cfg["cov"])
 
             def score_fn(X, t):
-                a, var = spec.schedule.kernel(t)
+                a, var = spec.kernel(t)
                 return Gaussian(a * data.mean, a * a * data.cov + var * np.eye(dim)).score(X)
 
             score = AnalyticScoreDemon(score_fn, dim, batched=True)

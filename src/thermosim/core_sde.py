@@ -267,13 +267,9 @@ def _integrate(props, step_times, dt, demon, initial_sampler, base_seed, start, 
     if V0.shape != (m, n):
         raise ContractViolationError("initial state dimension mismatch")
     observe(0, V0[None])
-    clones = None
+    state = None
     if demon is not None and not getattr(demon, "stateless", False):
-        clones = []
-        for _ in range(m):
-            clone = demon.clone()
-            clone.reset()
-            clones.append(clone)
+        state = demon.batch(m)
 
     block, sub = _block_steps(m, n, n_steps)
     noise = np.empty((m, block, n))
@@ -296,16 +292,11 @@ def _integrate(props, step_times, dt, demon, initial_sampler, base_seed, start, 
                     if demon is None:
                         continue
                     t = step_times[k + j]
-                    if clones is None:
-                        X[j] += demon.query_batch(t, V) @ E[k + j]
-                    else:
-                        d = np.stack([cl.query(t, V[i]) for i, cl in enumerate(clones)])
-                        X[j] += d @ E[k + j]
+                    d = demon.query_batch(t, V) if state is None else state.query(t, V)
+                    X[j] += d @ E[k + j]
                     _check_diverged(X[j:j + 1], k + j, start, step_times, dt)
-                    if clones is not None:
-                        dV = (X[j] - V) / dt
-                        for i, cl in enumerate(clones):
-                            cl.advance(t, V[i], dV[i], dt)
+                    if state is not None:
+                        state.advance(t, V, (X[j] - V) / dt, dt)
                 if demon is None:
                     _check_diverged(X, k, start, step_times, dt)
                 observe(k + 1, X)
@@ -369,7 +360,8 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     member 0 reproduces simulate_trajectory(seed=base_seed) bit for bit; in
     larger batches it agrees to rounding, since BLAS may round a row of a
     batched product differently.  Stateless demons are queried on whole
-    batches; stateful demons are cloned per trajectory.  Noise is drawn in
+    batches; a stateful demon is stepped through demon.batch(chunk), one
+    fresh state per chunk that holds every trajectory's row.  Noise is drawn in
     time blocks, so memory holds chunk x block x N noise values whatever
     n_steps is.
     """

@@ -21,8 +21,9 @@ from .potentials import Gaussian, GaussianMixture, central_difference_gradient
 class Demon:
     """Contract: query(t, v[, dv_dt]) -> drift vector of fixed dimension M.
 
-    Stateful variants advance per host step via advance(); simulations clone
-    stateful demons per trajectory and never share them mid-run.
+    Stateful variants advance per host step via advance().  Simulations step
+    them through batch(m), the reset state of m trajectories, which never
+    shares state with the demon it came from.
     """
 
     stateless = False
@@ -38,6 +39,32 @@ class Demon:
 
     def clone(self):
         return copy.deepcopy(self)
+
+    def batch(self, m):
+        """Reset state of m trajectories: query(t, V) -> (m, M) and
+        advance(t, V, dV, dt) act on (m, N) rows, row i for trajectory i.
+
+        This default keeps one reset clone per trajectory.
+        """
+        return _Clones(self, m)
+
+
+class _Clones:
+    """m reset clones of a stateful demon, each queried and advanced on its row."""
+
+    def __init__(self, demon, m):
+        self.clones = []
+        for _ in range(m):
+            clone = demon.clone()
+            clone.reset()
+            self.clones.append(clone)
+
+    def query(self, t, V):
+        return np.stack([cl.query(t, v) for cl, v in zip(self.clones, V)])
+
+    def advance(self, t, V, dV, dt):
+        for cl, v, dv in zip(self.clones, V, dV):
+            cl.advance(t, v, dv, dt)
 
 
 class ZeroDemon(Demon):
@@ -132,7 +159,7 @@ class TotalDerivativeDemon(Demon):
 
     q models the partial time derivative of the target demon vector and r
     its state gradient; the device's internal integrator is explicit Euler
-    with the host step.
+    with the host step.  Its batch holds d as an (m, M) array.
     """
 
     def __init__(self, q_fn, r_fn, d0):
@@ -148,20 +175,36 @@ class TotalDerivativeDemon(Demon):
         total_derivative_step(self, t, v, dv_dt, dt)
 
     def reset(self):
-        self.d = self.d0.copy()
+        self.d = np.broadcast_to(self.d0, self.d.shape).copy()
+
+    def batch(self, m):
+        state = self.clone()
+        state.d = np.tile(self.d0, (m, 1))
+        return state
 
 
 def total_derivative_step(demon: TotalDerivativeDemon, t, v, dv_dt, dt):
-    """d <- d + (q(t, v) + r(t, v) dv/dt) dt; returns the updated d."""
+    """d <- d + (q(t, v) + r(t, v) dv/dt) dt; returns the updated d.
+
+    For a batch, d is (m, M) and v, dv_dt are (m, N) rows; q and r still
+    take one state vector, so they are called once per row.
+    """
     if dt <= 0:
         raise ContractViolationError("dt must be positive")
-    v = np.asarray(v, dtype=float).reshape(-1)
-    dv_dt = np.asarray(dv_dt, dtype=float).reshape(-1)
-    q = np.asarray(demon.q_fn(t, v), dtype=float).reshape(-1)
-    r = np.atleast_2d(np.asarray(demon.r_fn(t, v), dtype=float))
-    if q.shape != demon.d.shape or r.shape != (demon.d.size, v.size):
-        raise ContractViolationError("q/r output shapes inconsistent")
-    demon.d = demon.d + (q + r @ dv_dt) * dt
+    D = demon.d.reshape(-1, demon.d.shape[-1])
+    V = np.asarray(v, dtype=float).reshape(len(D), -1)
+    dV = np.asarray(dv_dt, dtype=float).reshape(V.shape)
+    q_shape, r_shape = D.shape[1:], D.shape[1:] + V.shape[1:]
+    qs, rs = [], []
+    for x in V:
+        q = np.asarray(demon.q_fn(t, x), dtype=float).reshape(-1)
+        r = np.atleast_2d(np.asarray(demon.r_fn(t, x), dtype=float))
+        if q.shape != q_shape or r.shape != r_shape:
+            raise ContractViolationError("q/r output shapes inconsistent")
+        qs.append(q)
+        rs.append(r)
+    Q = np.array(qs) + np.matmul(np.array(rs), dV[:, :, None])[:, :, 0]
+    demon.d = (D + Q * dt).reshape(demon.d.shape)
     if not np.all(np.isfinite(demon.d)):
         raise ContractViolationError("demon output not finite")
     return demon.d.copy()

@@ -11,13 +11,30 @@ import numpy as np
 from .errors import ContractViolationError
 
 
+# Workspaces kept per network, one per batch size, oldest dropped first.
+MAX_WORKSPACES = 4
+
+
 def _act(name):
+    """(activation applied in place, derivative from activation values into out)."""
     if name == "tanh":
-        return np.tanh, lambda a: 1.0 - a * a  # derivative from activation value
-    if name == "softplus":
-        return (lambda z: np.logaddexp(0.0, z),
-                lambda a: 1.0 - np.exp(-a))
-    raise ContractViolationError(f"unknown activation {name!r}")
+        def f(z):
+            np.tanh(z, out=z)
+
+        def df(a, out):
+            np.multiply(a, a, out=out)
+            np.subtract(1.0, out, out=out)
+    elif name == "softplus":
+        def f(z):
+            np.logaddexp(0.0, z, out=z)
+
+        def df(a, out):
+            np.negative(a, out=out)
+            np.exp(out, out=out)
+            np.subtract(1.0, out, out=out)
+    else:
+        raise ContractViolationError(f"unknown activation {name!r}")
+    return f, df
 
 
 class MLP:
@@ -38,18 +55,37 @@ class MLP:
             self.biases.append(np.zeros(fan_out))
         if zero_final:
             self.weights[-1][:] = 0.0
+        self._workspaces = {}
+
+    def _workspace(self, batch):
+        """(hidden activations, backward deltas, derivative scratch) for one
+        batch size: one (batch, width) array per hidden layer in each list."""
+        ws = self._workspaces.get(batch)
+        if ws is None:
+            if len(self._workspaces) >= MAX_WORKSPACES:
+                self._workspaces.pop(next(iter(self._workspaces)))
+            ws = tuple([np.empty((batch, k)) for k in self.sizes[1:-1]] for _ in range(3))
+            self._workspaces[batch] = ws
+        return ws
 
     def forward(self, X):
-        """X: (batch, in) -> (Y, cache) with Y: (batch, out)."""
+        """X: (batch, in) -> (Y, cache) with Y: (batch, out).
+
+        Y is a fresh array.  The hidden activations in the cache live in a
+        workspace that the next forward call of the same batch size
+        overwrites, so pass the cache to backward before that call.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        hidden, _, _ = self._workspace(len(X))
         acts = [X]
-        h = X
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W.T + b
-            h = z if i == last else self._f(z)
-            acts.append(h)
-        return h, acts
+        for W, b, z in zip(self.weights, self.biases, hidden):
+            np.matmul(acts[-1], W.T, out=z)
+            z += b
+            self._f(z)
+            acts.append(z)
+        Y = acts[-1] @ self.weights[-1].T + self.biases[-1]
+        acts.append(Y)
+        return Y, acts
 
     def __call__(self, X):
         return self.forward(X)[0]
@@ -59,11 +95,14 @@ class MLP:
         dWs = [None] * len(self.weights)
         dbs = [None] * len(self.biases)
         delta = np.atleast_2d(np.asarray(dY, dtype=float))
+        _, deltas, deriv = self._workspace(len(delta))
         for i in range(len(self.weights) - 1, -1, -1):
             dWs[i] = delta.T @ acts[i]
             dbs[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i]) * self._df(acts[i])
+                delta = np.matmul(delta, self.weights[i], out=deltas[i - 1])
+                self._df(acts[i], deriv[i - 1])
+                delta *= deriv[i - 1]
         return dWs, dbs
 
     # flat parameter vector helpers (finite-difference checks, SPSA)
@@ -120,11 +159,16 @@ class Adam:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grads ** 2
-        mh = self.m / (1 - self.beta1 ** self.t)
-        vh = self.v / (1 - self.beta2 ** self.t)
-        return params - self.lr * mh / (np.sqrt(vh) + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * np.square(grads)
+        denom = np.sqrt(self.v / (1 - self.beta2 ** self.t))
+        denom += self.eps
+        update = self.m / (1 - self.beta1 ** self.t)
+        update *= self.lr
+        update /= denom
+        return params - update
 
 
 class SGD:

@@ -44,6 +44,17 @@ class TestDiffusionForward:
         slope = np.polyfit(times, var, 1)[0]
         assert abs(slope - c0 ** 2) / c0 ** 2 < 0.1
 
+    def test_kernel_matches_forward_moments(self):
+        vp = DiffusionSpec("vp", 1, T=1.0)
+        assert vp.kernel(0.7) == vp.schedule.kernel(0.7)
+        ve = DiffusionSpec("ve", 1, T=1.0, c0=1.2)
+        x0 = np.full((4000, 1), 0.5)
+        _, X = diffusion_forward(ve, x0, 0.01, seed=3)
+        alpha, var = ve.kernel(1.0)
+        assert alpha == 1.0 and var == pytest.approx(1.44)
+        assert abs(X[:, -1, 0].mean() - alpha * 0.5) < 0.06
+        assert abs(X[:, -1, 0].var() - var) / var < 0.1
+
     def test_zero_noise_deterministic_flow(self):
         # beta -> 0 limit approximated by a tiny constant beta
         spec = DiffusionSpec("vp", 1, T=1.0,

@@ -153,6 +153,16 @@ class TestSamplers:
                          "cov": [[0.25]]}}
         run_twice_and_compare(tmp_path, "sample-diffusion", cfg)
 
+    def test_sample_diffusion_ve_analytic(self, tmp_path):
+        cfg = {"seed": 2, "dim": 1, "kind": "ve", "T": 4.0, "c0": 1.0,
+               "dt": 0.01, "n_samples": 400,
+               "score": {"kind": "analytic_gaussian", "mean": [2.0],
+                         "cov": [[0.25]]}}
+        run_twice_and_compare(tmp_path, "sample-diffusion", cfg)
+        samples = np.loadtxt(tmp_path / "a" / "samples.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(samples))
+        assert abs(samples.mean() - 2.0) < 0.3
+
 
 class TestSBitCommand:
     def test_smoke_and_determinism(self, tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from thermosim import (AnalyticScoreDemon, ContractViolationError, ForceDemon,
-                       Gaussian, GaussianMixture, QuadraticPotential,
-                       SDEModel, ScoreNetworkDemon, TotalDerivativeDemon,
-                       ZeroDemon, analytic_score, demon_output,
-                       force_demon_step, potential_catalog,
+from thermosim import (AnalyticScoreDemon, ContractViolationError, Demon,
+                       ForceDemon, Gaussian, GaussianMixture,
+                       QuadraticPotential, SDEModel, ScoreNetworkDemon,
+                       TotalDerivativeDemon, ZeroDemon, analytic_score,
+                       demon_output, force_demon_step, gaussian_initial,
+                       potential_catalog, simulate_ensemble,
                        simulate_trajectory, total_derivative_step)
 
 
@@ -220,3 +221,67 @@ def test_zero_demon_matches_no_demon():
     a = simulate_trajectory(model, demon=ZeroDemon(1), tf=0.5, dt=0.01, seed=2)
     b = simulate_trajectory(model, demon=None, tf=0.5, dt=0.01, seed=2)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+class PerCloneTotalDerivativeDemon(TotalDerivativeDemon):
+    """Stepped through the base class's batch: one reset clone per trajectory."""
+
+    batch = Demon.batch
+
+
+def _state_dependent_demon(cls):
+    return cls(lambda t, v: np.array([np.sin(v[1]), 0.3 * v[0]]),
+               lambda t, v: np.array([[0.1 * v[1], -0.4], [t, 0.2 * v[0]]]),
+               [0.5, -0.2])
+
+
+def test_batched_stateful_demon_matches_per_clone_loop():
+    model = SDEModel(A0=[[-1.0, 0.3], [0.1, -0.8]], b0=[0.1, 0.0],
+                     C0=[[0.5, 0.0], [0.1, 0.4]], D0=[[1.0, 0.0], [0.2, 0.5]])
+    initial = gaussian_initial([0.2, -0.1], [[0.3, 0.05], [0.05, 0.2]])
+    runs = []
+    for cls, chunk in ((TotalDerivativeDemon, 4096), (PerCloneTotalDerivativeDemon, 4096),
+                       (TotalDerivativeDemon, 24)):
+        dev = _state_dependent_demon(cls)
+        runs.append(simulate_ensemble(model, demon=dev, initial_sampler=initial, tf=0.5,
+                                      dt=0.01, n_traj=64, base_seed=5, chunk_size=chunk,
+                                      keep_final=True))
+        np.testing.assert_array_equal(dev.d, [0.5, -0.2])  # the caller's demon is untouched
+    batched = runs[0]
+    for other in runs[1:]:
+        np.testing.assert_allclose(other.means, batched.means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(other.covs, batched.covs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(other.final_states, batched.final_states, rtol=0, atol=1e-12)
+
+
+def test_batch_rows_start_from_reset_state():
+    dev = _state_dependent_demon(TotalDerivativeDemon)
+    dev.advance(0.0, np.ones(2), np.ones(2), 0.1)
+    state = dev.batch(3)
+    np.testing.assert_array_equal(state.query(0.0, np.zeros((3, 2))), [[0.5, -0.2]] * 3)
+    state.advance(0.0, np.ones((3, 2)), np.ones((3, 2)), 0.1)
+    np.testing.assert_array_equal(state.d[0], dev.d)
+    state.reset()
+    assert state.d.shape == (3, 2)
+
+
+@pytest.mark.parametrize("q, r", [
+    (lambda t, v: np.zeros(3), lambda t, v: np.eye(2)),
+    (lambda t, v: np.zeros(2), lambda t, v: np.eye(3)),
+    (lambda t, v: np.zeros(2), lambda t, v: np.zeros(2)),
+])
+def test_batched_step_rejects_bad_shapes(q, r):
+    state = TotalDerivativeDemon(q, r, [0.0, 0.0]).batch(3)
+    with pytest.raises(ContractViolationError, match="shapes"):
+        total_derivative_step(state, 0.0, np.zeros((3, 2)), np.ones((3, 2)), 0.1)
+    model = SDEModel(A0=-np.eye(2), b0=np.zeros(2), C0=0.1 * np.eye(2))
+    with pytest.raises(ContractViolationError, match="shapes"):
+        simulate_ensemble(model, demon=TotalDerivativeDemon(q, r, [0.0, 0.0]), tf=0.1,
+                          dt=0.01, n_traj=4, base_seed=0)
+
+
+def test_batched_step_rejects_non_finite_output():
+    state = TotalDerivativeDemon(lambda t, v: np.array([np.inf if v[0] > 0 else 0.0]),
+                                 lambda t, v: np.zeros((1, 1)), [0.0]).batch(2)
+    with pytest.raises(ContractViolationError, match="not finite"):
+        total_derivative_step(state, 0.0, np.array([[-1.0], [1.0]]), np.zeros((2, 1)), 0.1)
