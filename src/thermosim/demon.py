@@ -175,7 +175,7 @@ class TotalDerivativeDemon(Demon):
         total_derivative_step(self, t, v, dv_dt, dt)
 
     def reset(self):
-        self.d = np.broadcast_to(self.d0, self.d.shape).copy()
+        self.d = self.d0.copy()
 
     def batch(self, m):
         state = self.clone()

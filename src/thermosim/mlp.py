@@ -11,9 +11,6 @@ import numpy as np
 from .errors import ContractViolationError
 
 
-# Workspaces kept per network, one per batch size, oldest dropped first.
-MAX_WORKSPACES = 4
-
 
 def _act(name):
     """(activation applied in place, derivative from activation values into out)."""
@@ -55,25 +52,26 @@ class MLP:
             self.biases.append(np.zeros(fan_out))
         if zero_final:
             self.weights[-1][:] = 0.0
-        self._workspaces = {}
+        self._workspace_batch = None
+        self._workspace_bufs = None
 
     def _workspace(self, batch):
-        """(hidden activations, backward deltas, derivative scratch) for one
-        batch size: one (batch, width) array per hidden layer in each list."""
-        ws = self._workspaces.get(batch)
-        if ws is None:
-            if len(self._workspaces) >= MAX_WORKSPACES:
-                self._workspaces.pop(next(iter(self._workspaces)))
-            ws = tuple([np.empty((batch, k)) for k in self.sizes[1:-1]] for _ in range(3))
-            self._workspaces[batch] = ws
-        return ws
+        """(hidden activations, backward deltas, derivative scratch) for the
+        last batch size: one (batch, width) array per hidden layer in each
+        list, allocated afresh when the batch size changes."""
+        if batch != self._workspace_batch:
+            self._workspace_bufs = tuple(
+                [np.empty((batch, k)) for k in self.sizes[1:-1]] for _ in range(3))
+            self._workspace_batch = batch
+        return self._workspace_bufs
 
     def forward(self, X):
         """X: (batch, in) -> (Y, cache) with Y: (batch, out).
 
         Y is a fresh array.  The hidden activations in the cache live in a
         workspace that the next forward call of the same batch size
-        overwrites, so pass the cache to backward before that call.
+        overwrites (a call of another size allocates a new one), so pass the
+        cache to backward before that call.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         hidden, _, _ = self._workspace(len(X))

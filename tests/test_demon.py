@@ -261,8 +261,6 @@ def test_batch_rows_start_from_reset_state():
     np.testing.assert_array_equal(state.query(0.0, np.zeros((3, 2))), [[0.5, -0.2]] * 3)
     state.advance(0.0, np.ones((3, 2)), np.ones((3, 2)), 0.1)
     np.testing.assert_array_equal(state.d[0], dev.d)
-    state.reset()
-    assert state.d.shape == (3, 2)
 
 
 @pytest.mark.parametrize("q, r", [

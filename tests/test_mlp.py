@@ -84,6 +84,21 @@ def test_second_query_leaves_first_result_unchanged():
     assert not np.shares_memory(first, second)
 
 
+def test_cache_survives_forward_of_another_batch_size():
+    net = MLP([3, 8, 8, 2], seed=4)
+    rng = np.random.default_rng(1)
+    X, dY = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
+    _, acts = net.forward(X)
+    net.forward(rng.standard_normal((5, 3)))  # a new size allocates new buffers
+    dWs, dbs = net.backward(acts, dY)
+    _, ref_acts = _reference_forward(net, X)
+    ref_dWs, ref_dbs = _reference_backward(net, ref_acts, dY)
+    for got, want in zip(dWs + dbs, ref_dWs + ref_dbs):
+        np.testing.assert_array_equal(got, want)
+    Y, _ = net.forward(X)  # and back to the first size
+    np.testing.assert_array_equal(Y, _reference_forward(net, X)[0])
+
+
 def test_adam_matches_reference_formula_bitwise():
     lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
     opt = Adam(lr, b1, b2, eps)
