@@ -63,20 +63,16 @@ def _get(cfg, path, default=None, required=False):
     return node
 
 
-def _resolve(cfg, output_dir, seed, threads):
+def _resolve(cfg, output_dir, seed):
     cfg = dict(cfg)
     if output_dir is not None:
         cfg["output_dir"] = output_dir
     if seed is not None:
         cfg["seed"] = seed
-    if threads is not None:
-        cfg["threads"] = threads
     if "seed" not in cfg:
         raise ConfigError("missing config field: seed (wall-clock seeding is not allowed)")
     if not isinstance(cfg["seed"], int):
         raise ConfigError("config field seed must be an integer")
-    if cfg.get("threads", 1) < 1:
-        raise ConfigError("config field threads must be at least 1")
     out = Path(cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -166,8 +162,6 @@ def _run(fn):
 
 
 def _common(fn):
-    fn = click.option("--threads", type=int, default=None,
-                      help="Cap on internal worker threads.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Override config seed.")(fn)
     fn = click.option("--output-dir", type=click.Path(), default=None,
                       help="Override config output directory.")(fn)
@@ -184,11 +178,11 @@ def main():
 
 @main.command()
 @_common
-def simulate(config, output_dir, seed, threads):
+def simulate(config, output_dir, seed):
     """Simulate an s-mode SDE: trajectory CSV plus ensemble/oracle moments."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         model = _build_model(cfg)
         program = None
         if _get(cfg, "program") is not None:
@@ -228,11 +222,11 @@ def simulate(config, output_dir, seed, threads):
 
 @main.command("sample-diffusion")
 @_common
-def sample_diffusion(config, output_dir, seed, threads):
+def sample_diffusion(config, output_dir, seed):
     """Reverse-diffusion sampling with an analytic or checkpointed score."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         dim = int(_get(cfg, "dim", 1))
         T = float(_get(cfg, "T", 1.0))
         kind = _get(cfg, "kind", "vp")
@@ -265,11 +259,11 @@ def sample_diffusion(config, output_dir, seed, threads):
 
 @main.command()
 @_common
-def sghmc(config, output_dir, seed, threads):
+def sghmc(config, output_dir, seed):
     """Underdamped Langevin (SGHMC) chain over a catalog target."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         target = _build_target(cfg)
         chain = sghmc_sample(
             target,
@@ -286,11 +280,11 @@ def sghmc(config, output_dir, seed, threads):
 
 @main.command()
 @_common
-def sgld(config, output_dir, seed, threads):
+def sgld(config, output_dir, seed):
     """Overdamped Langevin (SGLD) chain over a catalog target."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         target = _build_target(cfg)
         chain = sgld_sample(
             target, step_sizes=float(_get(cfg, "step_size", 1e-2)),
@@ -305,11 +299,11 @@ def sgld(config, output_dir, seed, threads):
 
 @main.command()
 @_common
-def hmc(config, output_dir, seed, threads):
+def hmc(config, output_dir, seed):
     """Reference Hamiltonian Monte Carlo chain with acceptance tracking."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         target = _build_target(cfg)
         chain, accept = hmc_sample(
             target, mass=_get(cfg, "mass"),
@@ -328,11 +322,11 @@ def hmc(config, output_dir, seed, threads):
 
 @main.command("anneal")
 @_common
-def anneal_cmd(config, output_dir, seed, threads):
+def anneal_cmd(config, output_dir, seed):
     """SDE annealing over a catalog loss; records best point and chain."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         target = _build_target(cfg, field="loss")
         best, chain = anneal(
             target, S=_get(cfg, "S"),
@@ -351,11 +345,11 @@ def anneal_cmd(config, output_dir, seed, threads):
 
 @main.command()
 @_common
-def sbit(config, output_dir, seed, threads):
+def sbit(config, output_dir, seed):
     """Sample a single s-bit CTMC trajectory with constant flip rates."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         T = float(_get(cfg, "T", required=True))
         lam0 = RateSchedule.constant(float(_get(cfg, "lambda0", required=True)))
         lam1 = RateSchedule.constant(float(_get(cfg, "lambda1", required=True)))
@@ -372,11 +366,11 @@ def sbit(config, output_dir, seed, threads):
 
 @main.command("compile-circuit")
 @_common
-def compile_circuit(config, output_dir, seed, threads):
+def compile_circuit(config, output_dir, seed):
     """Compile a noisy-RC netlist and print the drift/diffusion matrices."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         if _get(cfg, "netlist") is not None:
             net = RCNetlist.from_json(Path(cfg["netlist"]).read_text())
             model = compile_network(net)
@@ -398,11 +392,11 @@ def compile_circuit(config, output_dir, seed, threads):
 
 @main.command("train-demon")
 @_common
-def train_demon_cmd(config, output_dir, seed, threads):
+def train_demon_cmd(config, output_dir, seed):
     """Train a score-network demon by denoising score matching."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         data_cfg = _get(cfg, "data", required=True)
         if data_cfg.get("kind") != "gaussian":
             raise ConfigError("config field data.kind must be gaussian")
@@ -428,11 +422,11 @@ def train_demon_cmd(config, output_dir, seed, threads):
 
 @main.command("nsde-rollout")
 @_common
-def nsde_rollout(config, output_dir, seed, threads):
+def nsde_rollout(config, output_dir, seed):
     """Prior rollout of the hidden/weight coupled neural SDE."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         hidden = int(_get(cfg, "hidden_dim", required=True))
         weight_dim = hidden * hidden
 
@@ -462,11 +456,11 @@ def nsde_rollout(config, output_dir, seed, threads):
 
 @main.command("latent-rollout")
 @_common
-def latent_rollout(config, output_dir, seed, threads):
+def latent_rollout(config, output_dir, seed):
     """Latent-SDE rollout read out at the configured checkpoint times."""
 
     def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed, threads)
+        cfg, out = _resolve(_load_config(config), output_dir, seed)
         model = _build_model(cfg)
         program = None
         if _get(cfg, "program") is not None:

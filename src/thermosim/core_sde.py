@@ -166,8 +166,10 @@ class EnsembleSummary:
             "mean": self.means.tolist(),
             "cov": self.covs.tolist(),
         }
+        # json.dumps runs the C encoder; json.dump always runs the pure-Python
+        # one.  Both write the same bytes.
         with open(path, "w") as fh:
-            json.dump(doc, fh, allow_nan=False)
+            fh.write(json.dumps(doc, allow_nan=False))
 
 
 def _check_coeffs(model, coeffs):

@@ -18,12 +18,23 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ContractViolationError
 
 SUPER_TARGETS = ("drift_super", "diffusion_super", "demon_coupling_super")
 TARGETS = SUPER_TARGETS + ("drift_vec",)
+
+
+_scipy_expm = None
+
+
+def expm(A):
+    """Matrix exponential by scipy.linalg.expm, imported on the first dense
+    exponential so that importing thermosim does not load scipy."""
+    global _scipy_expm
+    if _scipy_expm is None:
+        from scipy.linalg import expm as _scipy_expm
+    return _scipy_expm(A)
 
 
 class LinOp:

@@ -4,8 +4,9 @@ States live in {0,1}^N.  Each allowed transition carries its own
 time-dependent rate schedule; event times are sampled by thinning against a
 per-segment rate bound (Lewis/Ogata), with competing clocks for coupled
 systems.  Small systems (N <= 12) also get an exact oracle for the
-transient distribution: a sparse generator applied to p by a Krylov
-matrix-exponential action.
+transient distribution: p is advanced over each constant-rate segment by
+uniformization, a Poisson-weighted sum of powers of a stochastic matrix
+applied to p one sparse product at a time.
 """
 
 from __future__ import annotations
@@ -253,11 +254,10 @@ def index_state(idx: int, n_bits: int) -> tuple:
 
 
 def _generators(system: SBitSystem, times):
-    """CSR 2^N x 2^N generators at each of `times`: off-diagonal (x, y) holds
-    the x->y rate, diagonals make rows sum to zero.  The jump pattern is
-    enumerated once; each time only re-evaluates the transition rates."""
-    import scipy.sparse as sp
-
+    """The 2^N x 2^N generator at each of `times`, as `(rows, cols, rates,
+    exits)`: rates[j] is the rows[j] -> cols[j] rate and exits[i] the total
+    rate out of state i, so G = sum of the jumps minus diag(exits).  The jump
+    pattern is enumerated once; each time only re-evaluates the rates."""
     size = 1 << system.n_bits
     rows, cols, which = [], [], []
     for i in range(size):
@@ -268,31 +268,58 @@ def _generators(system: SBitSystem, times):
                 cols.append(state_index(trans.successor(x)))
                 which.append(k)
     rows, cols, which = (np.asarray(v, dtype=int) for v in (rows, cols, which))
-    diag = np.arange(size)
     for t in times:
         rates = np.array([trans.schedule.value(t) for trans in system.transitions])[which]
-        exits = np.bincount(rows, weights=rates, minlength=size)
-        yield sp.csr_matrix((np.concatenate([rates, -exits]),
-                             (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-                            shape=(size, size))
+        yield rows, cols, rates, np.bincount(rows, weights=rates, minlength=size)
 
 
 def dense_generator(system: SBitSystem, t: float) -> np.ndarray:
-    """Dense view of the 2^N x 2^N generator at time t."""
+    """Dense 2^N x 2^N generator at time t: rows sum to zero."""
     n = system.n_bits
     if n > MAX_DENSE_BITS:
         raise ContractViolationError(
             f"dense generator refused for N={n}: 2^{n} states blow up")
-    return next(_generators(system, [t])).toarray()
+    rows, cols, rates, exits = next(_generators(system, [t]))
+    G = np.zeros((exits.size, exits.size))
+    np.add.at(G, (rows, cols), rates)
+    G[np.diag_indices_from(G)] -= exits
+    return G
+
+
+def _uniformized(p, rows, cols, rates, exits, s):
+    """p exp(G s) by uniformization (Jensen 1953).
+
+    With lam = max exit rate, P = I + G/lam is stochastic and
+    p exp(G s) = sum_k Pois(k; lam s) p P^k.  The horizon is split into
+    pieces with lam*tau <= 1, so every Poisson weight is well scaled; each
+    piece sums the series until the weight falls below 1e-18.  All terms
+    are nonnegative, so nothing cancels, and each p P is one bincount."""
+    lam = exits.max()
+    if lam <= 0.0:
+        return p
+    pieces = max(1, int(np.ceil(lam * s)))
+    q = s / pieces * lam
+    weights = [np.exp(-q)]
+    while weights[-1] * q / len(weights) >= 1e-18:
+        weights.append(weights[-1] * q / len(weights))
+    stay = 1.0 - exits / lam
+    jump = rates / lam
+    for _ in range(pieces):
+        term = p
+        p = weights[0] * term
+        for w in weights[1:]:
+            term = stay * term + np.bincount(cols, weights=jump * term[rows],
+                                             minlength=term.size)
+            p += w * term
+    return p
 
 
 def transient_distribution(system: SBitSystem, p0, t: float) -> np.ndarray:
     """Exact p(t) = p0 exp(G s) piecewise; rates must be piecewise-constant.
 
-    Each constant-rate segment advances p by the action of exp(G^T s) on p
-    (Al-Mohy & Higham 2011), so no dense 2^N x 2^N exponential is formed."""
-    from scipy.sparse.linalg import expm_multiply
-
+    Each constant-rate segment advances p by uniformization on the sparse
+    jump list, so no 2^N x 2^N matrix is formed.  The cost grows with the
+    largest exit rate times the segment length."""
     n = system.n_bits
     if n > MAX_DENSE_BITS:
         raise ContractViolationError(
@@ -309,8 +336,8 @@ def transient_distribution(system: SBitSystem, p0, t: float) -> np.ndarray:
     pts = sorted(pts)
     p = p0
     mids = [(a + b) / 2 for a, b in zip(pts, pts[1:])]
-    for a, b, G in zip(pts, pts[1:], _generators(system, mids)):
-        p = expm_multiply(G.T * (b - a), p)
+    for a, b, gen in zip(pts, pts[1:], _generators(system, mids)):
+        p = _uniformized(p, *gen, b - a)
     p = np.clip(p, 0.0, None)
     if abs(p.sum() - 1) > 1e-9:
         raise ContractViolationError("transient distribution failed to normalize")

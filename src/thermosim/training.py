@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core_sde import SDEModel
 from .demon import ScoreNetworkDemon
@@ -101,8 +100,11 @@ def linear_sde_kernel(model: SDEModel, t: float):
     """Exact conditional kernel of dv = Av dt + C dw: x_t ~ N(M x0, Sigma).
 
     Van Loan block-exponential: exp([[A, CC^T], [0, -A^T]] t) yields
-    M = e^{At} and Sigma = E12 E11^T.
+    M = e^{At} and Sigma = E12 E11^T.  scipy is imported here, on first
+    use, so that importing thermosim does not load it.
     """
+    from scipy.linalg import expm
+
     n = model.dim
     Q = model.C0 @ model.C0.T
     F = np.zeros((2 * n, 2 * n))

@@ -146,6 +146,17 @@ class TestSimulateEnsemble:
         assert set(doc) >= {"times", "mean", "cov"}
         assert len(doc["times"]) == 3
 
+    def test_json_export_bytes_match_json_dump(self, tmp_path):
+        """The C encoder behind to_json writes what json.dump writes."""
+        summary = simulate_ensemble(coupled_model(), tf=0.5, dt=0.01, n_traj=7, base_seed=3)
+        path = tmp_path / "s.json"
+        summary.to_json(path)
+        doc = {"n_traj": summary.n_traj, "times": summary.times.tolist(),
+               "mean": summary.means.tolist(), "cov": summary.covs.tolist()}
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(doc, fh, allow_nan=False)
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
 
 def coupled_model():
     return SDEModel(A0=[[-1.0, 0.4], [-0.3, -0.8]], b0=[0.2, -0.1],

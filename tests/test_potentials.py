@@ -78,12 +78,41 @@ class TestMixtureBatch:
                                          Gaussian([0.0, 0.0], np.eye(2))])
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    """The sparse oracle imports scipy.sparse lazily, keeping CLI start-up short."""
-    code = "import sys, thermosim, thermosim.cli; print('scipy.sparse' in sys.modules)"
+def _scipy_modules_after(code):
+    """Run `code` in a fresh interpreter; return the scipy modules it loaded."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(thermosim.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """Start-up, ensembles and the s-bit oracle load no scipy at all; it costs
+    a quarter second of every CLI call."""
+    assert _scipy_modules_after("import thermosim, thermosim.cli") == "[]"
+    assert _scipy_modules_after(
+        "import numpy as np, thermosim as ts\n"
+        "m = ts.SDEModel(A0=-np.eye(2), b0=np.zeros(2), C0=np.eye(2))\n"
+        "ts.simulate_ensemble(m, tf=0.1, dt=0.01, n_traj=8, base_seed=0)\n"
+        "r = ts.RateSchedule.constant(1.0)\n"
+        "system = ts.SBitSystem.single_flip([r] * 10, [r] * 10)\n"
+        "p0 = np.zeros(1024); p0[0] = 1.0\n"
+        "assert abs(ts.transient_distribution(system, p0, 0.5).sum() - 1) < 1e-12") == "[]"
+
+
+@pytest.mark.parametrize("code", [
+    "import numpy as np, thermosim as ts\n"
+    "m = ts.SDEModel(A0=-np.eye(2), b0=np.zeros(2), C0=np.eye(2))\n"
+    "seg = ts.GateSegment(ts.Generator.dense('drift_super', 0.1 * np.eye(4)), 0.0, 1.0)\n"
+    "A = ts.GateProgram(schedule_A=ts.Schedule([seg])).coefficients(m, 0.5)[0]\n"
+    "assert np.allclose(A, -np.exp(0.05) * np.eye(2))",
+    "import numpy as np, thermosim as ts\n"
+    "m = ts.SDEModel(A0=-np.eye(2), b0=np.zeros(2), C0=np.eye(2))\n"
+    "M, S = ts.linear_sde_kernel(m, 1.0)\n"
+    "assert np.allclose(M, np.exp(-1.0) * np.eye(2))",
+], ids=["dense_gate", "linear_sde_kernel"])
+def test_dense_exponentials_load_scipy_on_use(code):
+    assert "scipy.linalg" in _scipy_modules_after(code)

@@ -1,10 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from thermosim import (ContractViolationError, RateSchedule, SBitSystem,
                        dense_generator, sample_coupled_trajectory,
                        sample_sbit_trajectory, transient_distribution)
-from thermosim.sbit import Transition, index_state, state_index
+from thermosim.sbit import Transition, _generators, index_state, state_index
 
 
 class TestRateSchedule:
@@ -235,22 +237,29 @@ def _dense_reference(system, t):
     return G - np.diag(G.sum(axis=1))
 
 
-def test_krylov_transient_matches_dense_expm():
+def _swap_system(n_bits, times, draw):
+    """Single flips on every bit plus a swap of the first and last bits, each
+    with its own piecewise-constant rates from `draw(n_segments)`."""
+    def sched():
+        return RateSchedule.piecewise_constant(times, draw(len(times) - 1))
+
+    system = SBitSystem.single_flip([sched() for _ in range(n_bits)],
+                                    [sched() for _ in range(n_bits)])
+
+    def swap(x):
+        return (x[-1],) + tuple(x[1:-1]) + (x[0],)
+
+    system.transitions.append(Transition(lambda x: x[0] != x[-1], swap, sched(), "swap"))
+    return system
+
+
+def test_uniformized_transient_matches_dense_expm():
     """Four bits, single flips plus a swap of bits 0 and 3, three segments."""
     from scipy.linalg import expm
 
     rng = np.random.default_rng(5)
     times = [0.0, 0.3, 0.7, 1.0]
-
-    def sched():
-        return RateSchedule.piecewise_constant(times, rng.uniform(0.2, 3.0, 3))
-
-    system = SBitSystem.single_flip([sched() for _ in range(4)], [sched() for _ in range(4)])
-
-    def swap(x):
-        return (x[3],) + tuple(x[1:3]) + (x[0],)
-
-    system.transitions.append(Transition(lambda x: x[0] != x[3], swap, sched(), "swap03"))
+    system = _swap_system(4, times, lambda k: rng.uniform(0.2, 3.0, k))
     p0 = rng.dirichlet(np.ones(16))
     expected = p0.copy()
     for a, b in zip(times, times[1:]):
@@ -259,3 +268,74 @@ def test_krylov_transient_matches_dense_expm():
                                    _dense_reference(system, (a + b) / 2), rtol=0, atol=1e-13)
     np.testing.assert_allclose(transient_distribution(system, p0, 1.0), expected,
                                rtol=0, atol=1e-12)
+
+
+def test_uniformized_transient_stiff_long_horizon():
+    """Log-uniform rates from 0.01 to 50 over t = 20: thousands of
+    uniformization pieces must still agree with the dense exponential."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(11)
+    times = [0.0, 5.0, 12.0, 20.0]
+    system = _swap_system(3, times,
+                          lambda k: np.exp(rng.uniform(np.log(0.01), np.log(50.0), k)))
+    p0 = rng.dirichlet(np.ones(8))
+    expected = p0.copy()
+    for a, b in zip(times, times[1:]):
+        expected = expected @ expm(_dense_reference(system, (a + b) / 2) * (b - a))
+    np.testing.assert_allclose(transient_distribution(system, p0, 20.0), expected,
+                               rtol=0, atol=1e-12)
+
+
+def _two_state_transient(up, down, times, t):
+    """P(bit = 1 at t) from bit 0 at time 0, in closed form per constant segment."""
+    p1 = 0.0
+    for a, b, u, d in zip(times, times[1:], up, down):
+        s = min(b, t) - a
+        if s <= 0:
+            break
+        p1 = u / (u + d) + (p1 - u / (u + d)) * np.exp(-(u + d) * s)
+    return np.array([1.0 - p1, p1])
+
+
+@pytest.mark.parametrize("n_bits", [8, 10, 12])
+def test_single_flip_transient_is_product_of_bits(n_bits):
+    """Independent bits: p(t) is the product of the per-bit 2x2 transients."""
+    rng = np.random.default_rng(n_bits)
+    times = [0.0, 0.3, 1.0]
+    up = rng.uniform(0.1, 1.5, (n_bits, 2))
+    down = rng.uniform(0.1, 1.5, (n_bits, 2))
+    system = SBitSystem.single_flip(
+        [RateSchedule.piecewise_constant(times, r) for r in up],
+        [RateSchedule.piecewise_constant(times, r) for r in down])
+    p0 = np.zeros(1 << n_bits)
+    p0[0] = 1.0
+    per_bit = [_two_state_transient(u, d, times, 1.0) for u, d in zip(up, down)]
+    expected = reduce(lambda acc, q: np.kron(q, acc), per_bit, np.ones(1))  # bit 0 fastest
+    np.testing.assert_allclose(transient_distribution(system, p0, 1.0), expected,
+                               rtol=0, atol=1e-14)
+
+
+def _csr_generator(system, t):
+    """The generator as the CSR matrix the sparse oracle used to build."""
+    import scipy.sparse as sp
+
+    rows, cols, rates, exits = next(_generators(system, [t]))
+    diag = np.arange(exits.size)
+    return sp.csr_matrix((np.concatenate([rates, -exits]),
+                          (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+                         shape=(exits.size, exits.size))
+
+
+def test_dense_generator_equals_csr_view():
+    rng = np.random.default_rng(0)
+    systems = [
+        SBitSystem.single_flip([RateSchedule.constant(1.7)], [RateSchedule.constant(1.7)]),
+        SBitSystem.single_flip([RateSchedule.constant(r) for r in rng.uniform(0.1, 3.0, 3)],
+                               [RateSchedule.constant(r) for r in rng.uniform(0.1, 3.0, 3)]),
+        _swap_system(4, [0.0, 0.3, 0.7, 1.0], lambda k: rng.uniform(0.2, 3.0, k)),
+    ]
+    for system in systems:
+        for t in (0.15, 0.5, 0.85):
+            np.testing.assert_array_equal(dense_generator(system, t),
+                                          _csr_generator(system, t).toarray())

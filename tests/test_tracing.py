@@ -1,9 +1,9 @@
-"""The benchmark's traced run must keep reporting every `demon` layer metric.
+"""The benchmark's traced run must keep reporting its layer metrics.
 
 `perfbench/tracing.py` shims named methods and functions and drops a metric
 whose shim is never called, so a refactor that moves or stops calling one of
-them silently loses a per-layer metric.  This runs small versions of the
-`demon` workload's jobs under the shims and checks that none is lost.
+them silently loses a per-layer metric.  These run small versions of the
+workloads' jobs under the shims and check that none is lost.
 """
 
 import importlib.util
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import thermosim
-from thermosim import apps, core_sde, training
+from thermosim import apps, core_sde, gates, sbit, training
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -54,3 +54,28 @@ def test_demon_layer_metrics_survive_tracing():
     for name in wanted:
         assert math.isfinite(layers[name]) and layers[name] > 0, (name, layers[name])
     assert layers["demon.clones"] == 1  # one batch state per ensemble chunk
+
+
+def test_gate_and_transient_metrics_survive_tracing():
+    """`gates.expm` is shimmed by name on its module, so the dense
+    exponentials must still be looked up there; the transient oracle must
+    stay the module's `transient_distribution`."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        model = core_sde.SDEModel(A0=-np.eye(2), b0=np.zeros(2), C0=np.eye(2))
+        seg = gates.GateSegment(gates.Generator.dense("drift_super", 0.1 * np.eye(4)), 0.0, 1.0)
+        program = gates.GateProgram(schedule_A=gates.Schedule([seg]))
+        for t in (0.25, 0.5):
+            program.coefficients(model, t)
+        r = sbit.RateSchedule.constant(1.0)
+        sbit.transient_distribution(sbit.SBitSystem.single_flip([r] * 3, [r] * 3),
+                                    np.full(8, 1 / 8), 0.5)
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer.spans, 0)
+    assert layers.get("gates.expm_calls", 0) > 0
+    assert layers["gates.coefficients_calls"] == 2
+    assert math.isfinite(layers.get("sbit.transient_s", math.nan))
+    assert layers["sbit.transient_s"] > 0
