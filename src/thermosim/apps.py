@@ -140,6 +140,19 @@ def _burn(chain, burn_in):
     return chain[k:]
 
 
+def _row_products(L, z, scale):
+    """Every row (L @ z[k]) * scale of a block of draws, summed one column at
+    a time with no matrix product; equal to the per-row product when L is
+    diagonal."""
+    out = np.zeros_like(z)
+    for i in range(L.shape[0]):
+        col = out[:, i]
+        for j in range(L.shape[1]):
+            col += L[i, j] * z[:, j]
+        col *= scale
+    return out
+
+
 def _check_chain(name, chain, step_time):
     """Raise DivergenceError at the first non-finite row of a finished chain;
     row k holds the state after step k + 1, at time step_time(k)."""
@@ -182,15 +195,22 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
 
     p = np.zeros(n)
     chain = np.empty((n_steps, n))
-    sqdt = np.sqrt(dt)
+    drag = B @ Minv
+    if gradient_noise == "stochastic":
+        # Each step's gradient noise comes before its kick in the stream.
+        z = rng.standard_normal((n_steps, 2, n))
+        grad_noise = _row_products(grad_chol, z[:, 0], 1.0)
+        kicks = _row_products(noise_chol, z[:, 1], np.sqrt(dt))
+    else:
+        kicks = _row_products(noise_chol, rng.standard_normal((n_steps, n)), np.sqrt(dt))
     for k in range(n_steps):
         force = demon.force(k * dt)
-        if not np.all(np.isfinite(force)):
+        if not np.isfinite(force).all():
             chain[k:] = np.nan  # the force overflowed: no later state is defined
             break
         if gradient_noise == "stochastic":
-            force = force - grad_chol @ rng.standard_normal(n)
-        p = p + (force - B @ (Minv @ p)) * dt + noise_chol @ rng.standard_normal(n) * sqdt
+            force = force - grad_noise[k]
+        p = p + (force - drag @ p) * dt + kicks[k]
         demon.advance(k * dt, p, None, dt)
         chain[k] = demon.x
     _check_chain("sghmc", chain, lambda k: (k + 1) * dt)
@@ -206,21 +226,25 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
     rng = trajectory_rng(seed, 0)
     theta = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     eps_fn = step_sizes if callable(step_sizes) else (lambda k: float(step_sizes))
+    eps = np.array([eps_fn(k) for k in range(n_steps)], dtype=float)
+    if not (eps > 0).all() or (eps[1:] > eps[:-1] + 1e-15).any():
+        raise ContractViolationError("step sizes must be positive and nonincreasing")
+    half = 0.5 * eps
     chain = np.empty((n_steps, n))
-    prev_eps = np.inf
-    for k in range(n_steps):
-        eps = eps_fn(k)
-        if eps <= 0 or eps > prev_eps + 1e-15:
-            raise ContractViolationError("step sizes must be positive and nonincreasing")
-        prev_eps = eps
-        if minibatch_model is None:
-            grad_log_pi = -target.grad_U(theta)
-        else:
+    if minibatch_model is None:
+        kicks = rng.standard_normal((n_steps, n))
+        kicks *= np.sqrt(eps)[:, None]
+        for k in range(n_steps):
+            theta = theta - half[k] * target.grad_U(theta) + kicks[k]
+            chain[k] = theta
+    else:
+        # The minibatch draws interleave with the injected noise in the stream.
+        for k in range(n_steps):
             grad_log_pi = minibatch_model.grad_log_posterior(theta, rng)
-        theta = theta + 0.5 * eps * grad_log_pi + np.sqrt(eps) * rng.standard_normal(n)
-        chain[k] = theta
+            theta = theta + half[k] * grad_log_pi + np.sqrt(eps[k]) * rng.standard_normal(n)
+            chain[k] = theta
     # Step k advances Langevin time by eps_k.
-    _check_chain("sgld", chain, lambda k: sum(eps_fn(j) for j in range(k + 1)))
+    _check_chain("sgld", chain, lambda k: sum(eps[:k + 1]))
     return _burn(chain, burn_in)
 
 
@@ -252,8 +276,10 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
     """Reference sampler: leapfrog proposals with Metropolis correction.
 
     Momentum is resampled from N(0, M) each iteration; proposals accepted
-    with min(1, exp(H(x, p) - H(x', p'))).  Returns (chain, acceptance
-    rate)."""
+    with min(1, exp(H(x, p) - H(x', p'))), and one whose energy is NaN is
+    rejected.  U and grad U at the current state are kept from the last
+    accepted proposal, so an iteration makes n_leapfrog gradient calls and
+    one value call.  Returns (chain, acceptance rate)."""
     if n_leapfrog < 1:
         raise ContractViolationError("need at least one leapfrog step")
     if step <= 0:
@@ -266,21 +292,28 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     chain = np.empty((n_iter, n))
     accepted = 0
-    for it in range(n_iter):
-        p = chol @ rng.standard_normal(n)
-        h_old = target.U(x) + 0.5 * p @ Minv @ p
-        xq, pq = x.copy(), p.copy()
-        pq = pq - 0.5 * step * target.grad_U(xq)
-        for j in range(n_leapfrog):
-            xq = xq + step * (Minv @ pq)
-            if j < n_leapfrog - 1:
-                pq = pq - step * target.grad_U(xq)
-        pq = pq - 0.5 * step * target.grad_U(xq)
-        h_new = target.U(xq) + 0.5 * pq @ Minv @ pq
-        if rng.uniform() < min(1.0, np.exp(h_old - h_new)):
-            x = xq
-            accepted += 1
-        chain[it] = x
+    half_step = 0.5 * step
+    # U and grad U at the current state; an accepted proposal brings its own.
+    u, g = target.U(x), target.grad_U(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(n_iter):
+            p = chol @ rng.standard_normal(n)
+            h_old = u + 0.5 * p @ Minv @ p
+            xq, pq = x, p - half_step * g
+            for j in range(n_leapfrog):
+                xq = xq + step * (Minv @ pq)
+                gq = target.grad_U(xq)
+                if j < n_leapfrog - 1:
+                    pq = pq - step * gq
+            pq = pq - half_step * gq
+            uq = target.U(xq)
+            h_new = uq + 0.5 * pq @ Minv @ pq
+            # u < 1, so this is u < min(1, exp(.)) for finite energies and
+            # rejects a proposal whose energy is NaN.
+            if rng.uniform() < np.exp(h_old - h_new):
+                x, u, g = xq, uq, gq
+                accepted += 1
+            chain[it] = x
     return _burn(chain, burn_in), accepted / n_iter
 
 
@@ -302,14 +335,14 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
     p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).reshape(-1)
     best_x, best_val = x.copy(), lam * loss.U(x)
     chain = np.empty((n_steps, n))
-    sqdt = np.sqrt(dt)
+    half_D = 0.5 * D
+    kicks = _row_products(S, rng.standard_normal((n_steps, n)), np.sqrt(dt))
     for k in range(n_steps):
-        p = p + (-lam * loss.grad_U(x) - 0.5 * D @ p) * dt \
-            + S @ rng.standard_normal(n) * sqdt
+        p = p + (-lam * loss.grad_U(x) - half_D @ p) * dt + kicks[k]
         x = x + p * dt
         val = lam * loss.U(x)
         if val < best_val:
-            best_val, best_x = val, x.copy()
+            best_val, best_x = val, x
         chain[k] = x
     _check_chain("anneal", chain, lambda k: (k + 1) * dt)
     return best_x, _burn(chain, burn_in)
@@ -353,6 +386,8 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
     Hs = np.empty((n_steps + 1,) + H.shape)
     Ws = np.empty((n_steps + 1, spec.weight_dim))
     Hs[0], Ws[0] = H, w
+    kicks = rng.standard_normal((n_steps, spec.weight_dim))
+    kicks *= spec.sigma * np.sqrt(dt)
     t = 0.0
     for k in range(n_steps):
         if mode == "prior":
@@ -361,7 +396,7 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
         else:
             drift_w = np.asarray(spec.posterior_net(t, w), dtype=float) + w
         H = H + np.asarray(spec.f_h(t, H, w), dtype=float) * dt
-        w = w + drift_w * dt + spec.sigma * np.sqrt(dt) * rng.standard_normal(spec.weight_dim)
+        w = w + drift_w * dt + kicks[k]
         t += dt
         Hs[k + 1], Ws[k + 1] = H, w
     times = dt * np.arange(n_steps + 1)

@@ -36,6 +36,9 @@ from .training import (TrainConfig, VPSchedule, kernel_dsm_objective,
 
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+CSV_BLOCK_VALUES = 512
+# libyaml's parser when PyYAML was built with it; it builds the same objects.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -43,7 +46,7 @@ EXIT_DIVERGED = 3
 def _load_config(path):
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
@@ -102,8 +105,12 @@ def _write_chain_csv(path, chain, header=None):
         header = ["x%d" % (j + 1) for j in range(chain.shape[1])]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in chain:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        # Rows are formatted about CSV_BLOCK_VALUES numbers at a time, so a
+        # long chain is never held as Python floats and strings all at once.
+        block = max(1, CSV_BLOCK_VALUES // chain.shape[1])
+        for start in range(0, len(chain), block):
+            rows = chain[start:start + block].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def _write_json(path, doc):

@@ -55,7 +55,7 @@ class DoubleWellPotential(Potential):
 
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
-        return float(np.sum((x * x - 1.0) ** 2))
+        return float(((x * x - 1.0) ** 2).sum())
 
     def gradient(self, t, x):
         x = np.asarray(x, dtype=float)

@@ -135,12 +135,17 @@ class RateSchedule:
 
 @dataclass(frozen=True)
 class Transition:
-    """Guarded jump: fires from states where enabled(x) holds."""
+    """Guarded jump: fires from states where enabled(x) holds.
+
+    flip = (bit, value) marks a single-bit flip out of x[bit] == value, so
+    the exact oracle can find its states with bit operations; enabled and
+    successor must then describe that same flip."""
 
     enabled: object  # callable state tuple -> bool
     successor: object  # callable state tuple -> state tuple
     schedule: RateSchedule
     label: str = ""
+    flip: tuple | None = None
 
 
 class SBitSystem:
@@ -166,9 +171,9 @@ class SBitSystem:
                 return tuple(y)
 
             transitions.append(Transition(
-                lambda x, i=i: x[i] == 0, flip, up_schedules[i], f"bit{i}_up"))
+                lambda x, i=i: x[i] == 0, flip, up_schedules[i], f"bit{i}_up", (i, 0)))
             transitions.append(Transition(
-                lambda x, i=i: x[i] == 1, flip, down_schedules[i], f"bit{i}_down"))
+                lambda x, i=i: x[i] == 1, flip, down_schedules[i], f"bit{i}_down", (i, 1)))
         return cls(n, transitions)
 
 
@@ -253,21 +258,40 @@ def index_state(idx: int, n_bits: int) -> tuple:
     return tuple((idx >> i) & 1 for i in range(n_bits))
 
 
+def _jump_pattern(system: SBitSystem):
+    """(rows, cols, which) of every enabled jump, ordered by state and then
+    by transition index: which[j] is the transition taking rows[j] to
+    cols[j].  A (state, transition) table holds the enabled flags and the
+    successors; marked single-bit flips fill their column by bit operations
+    over all states, any other transition state by state."""
+    n = system.n_bits
+    states = np.arange(1 << n)
+    shape = (states.size, len(system.transitions))
+    enabled = np.zeros(shape, dtype=bool)
+    successor = np.zeros(shape, dtype=int)
+    for k, trans in enumerate(system.transitions):
+        if trans.flip is not None:
+            bit, value = trans.flip
+            enabled[:, k] = ((states >> bit) & 1) == value
+            successor[:, k] = states ^ (1 << bit)
+            continue
+        for i in range(states.size):
+            x = index_state(i, n)
+            if trans.enabled(x):
+                enabled[i, k] = True
+                successor[i, k] = state_index(trans.successor(x))
+    rows, which = np.nonzero(enabled)
+    return rows, successor[rows, which], which
+
+
 def _generators(system: SBitSystem, times):
     """The 2^N x 2^N generator at each of `times`, as `(rows, cols, rates,
     exits)`: rates[j] is the rows[j] -> cols[j] rate and exits[i] the total
     rate out of state i, so G = sum of the jumps minus diag(exits).  The jump
-    pattern is enumerated once; each time only re-evaluates the rates."""
+    pattern is built once, on the first generator; each time only
+    re-evaluates the rates."""
+    rows, cols, which = _jump_pattern(system)
     size = 1 << system.n_bits
-    rows, cols, which = [], [], []
-    for i in range(size):
-        x = index_state(i, system.n_bits)
-        for k, trans in enumerate(system.transitions):
-            if trans.enabled(x):
-                rows.append(i)
-                cols.append(state_index(trans.successor(x)))
-                which.append(k)
-    rows, cols, which = (np.asarray(v, dtype=int) for v in (rows, cols, which))
     for t in times:
         rates = np.array([trans.schedule.value(t) for trans in system.transitions])[which]
         yield rows, cols, rates, np.bincount(rows, weights=rates, minlength=size)

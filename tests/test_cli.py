@@ -6,6 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from thermosim import cli
 from thermosim.cli import main
 
 
@@ -121,6 +122,18 @@ class TestSamplers:
         run_twice_and_compare(tmp_path, "hmc", {k: v for k, v in cfg.items()
                                                 if k != "output_dir"})
 
+    def test_hmc_nan_proposals_rejected(self, tmp_path):
+        """Every leapfrog trajectory of this step size overflows; the chain
+        stays at x0 instead of turning NaN and failing the JSON writer."""
+        cfg = {"seed": 0, "target": {"kind": "double_well", "dim": 2}, "n_leapfrog": 10,
+               "step": 2.0, "n_iter": 50, "x0": [0.5, 0.5], "output_dir": str(tmp_path / "o")}
+        result = run_cli(["hmc", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 0, result.output
+        metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert metrics["acceptance_rate"] == 0.0
+        chain = np.loadtxt(tmp_path / "o" / "chain.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(chain, 0.5)
+
     def test_anneal(self, tmp_path):
         cfg = {"seed": 5, "loss": {"kind": "double_well", "dim": 1},
                "n_steps": 2000, "dt": 0.01, "output_dir": str(tmp_path / "o")}
@@ -235,3 +248,55 @@ def test_manifest_records_version_and_config(tmp_path):
     for name, digest in doc["artifacts"].items():
         actual = hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
         assert actual == digest
+
+
+def _row_by_row_csv(path, chain, header=None):
+    """The chain writer as it was: one formatted write per row."""
+    chain = np.atleast_2d(np.asarray(chain, dtype=float))
+    if header is None:
+        header = ["x%d" % (j + 1) for j in range(chain.shape[1])]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in chain:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3000, 2), (700, 16), (5,)])
+def test_chain_csv_bytes_unchanged(tmp_path, shape):
+    """Block-wise formatting writes the bytes the row-by-row writer wrote,
+    signed zeros, subnormals and values near the float limits included."""
+    rng = np.random.default_rng(0)
+    chain = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = np.array([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308, 0.1, -2.5])
+    flat = chain.reshape(-1)
+    flat[:min(flat.size, special.size)] = special[:flat.size]
+    cli._write_chain_csv(tmp_path / "new.csv", chain)
+    _row_by_row_csv(tmp_path / "old.csv", chain)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    header = ["t"] + [f"h{j}" for j in range(np.atleast_2d(chain).shape[1] - 1)]
+    cli._write_chain_csv(tmp_path / "new_h.csv", chain, header=header)
+    _row_by_row_csv(tmp_path / "old_h.csv", chain, header=header)
+    assert (tmp_path / "new_h.csv").read_bytes() == (tmp_path / "old_h.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_loader_builds_the_same_configs(tmp_path):
+    """The CLI parses configs with libyaml when it can; the resolver and
+    constructor are the pure-Python ones, so the objects are the same."""
+    configs = [TestSimulate().cfg(),
+               {"seed": 3, "target": {"kind": "mixture", "weights": [0.4, 0.6],
+                                      "means": [[-0.5, 0.3], [0.5, -0.3]],
+                                      "covs": [[[0.4, 0.0], [0.0, 0.5]]] * 2},
+                "n_steps": 500, "dt": 0.05, "burn_in": 0.2, "x0": None},
+               {"seed": 7, "T": 20.0, "lambda0": 1.0, "lambda1": 3.0, "x0": 0,
+                "train": {"mode": "in_situ", "steps": 30, "learning_rate": 1e-3}}]
+    texts = [yaml.safe_dump(cfg) for cfg in configs]
+    texts.append("seed: 5\ndt: 1e-3\nrate: 2.5e+1\nflag: yes\nname: 'x0'\n"
+                 "when: 2001-12-14\nitems: [1, -2.0, .inf, null]\n")
+    for i, text in enumerate(texts):
+        path = tmp_path / f"c{i}.yaml"
+        path.write_text(text)
+        pure = yaml.load(text, Loader=yaml.SafeLoader)
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert repr(fast) == repr(pure)
+        assert repr(cli._load_config(path)) == repr(pure)

@@ -339,3 +339,42 @@ def test_dense_generator_equals_csr_view():
         for t in (0.15, 0.5, 0.85):
             np.testing.assert_array_equal(dense_generator(system, t),
                                           _csr_generator(system, t).toarray())
+
+
+def _enumerated_pattern(system):
+    """The jump pattern by one enabled/successor call per state and
+    transition, in the order _generators must keep: state, then transition."""
+    rows, cols, which = [], [], []
+    for i in range(1 << system.n_bits):
+        x = index_state(i, system.n_bits)
+        for k, trans in enumerate(system.transitions):
+            if trans.enabled(x):
+                rows.append(i)
+                cols.append(state_index(trans.successor(x)))
+                which.append(k)
+    return rows, cols, which
+
+
+@pytest.mark.parametrize("n_bits", [1, 4, 10])
+def test_generators_match_enumerated_pattern(n_bits):
+    """Single flips are found by bit operations and the swap appended after
+    construction by enumeration; both give the enumeration's arrays."""
+    rng = np.random.default_rng(n_bits)
+    times = [0.0, 0.4, 1.0]
+
+    def sched():
+        return RateSchedule.piecewise_constant(times, rng.uniform(0.2, 3.0, 2))
+
+    flips = SBitSystem.single_flip([sched() for _ in range(n_bits)],
+                                   [sched() for _ in range(n_bits)])
+    assert all(trans.flip is not None for trans in flips.transitions)
+    swap = _swap_system(n_bits, times, lambda k: rng.uniform(0.2, 3.0, k))
+    for system in (flips, swap):
+        rows, cols, which = _enumerated_pattern(system)
+        for t, (r, c, rates, exits) in zip((0.2, 0.7), _generators(system, (0.2, 0.7))):
+            expected = [system.transitions[k].schedule.value(t) for k in which]
+            np.testing.assert_array_equal(r, rows)
+            np.testing.assert_array_equal(c, cols)
+            np.testing.assert_array_equal(rates, expected)
+            np.testing.assert_array_equal(
+                exits, np.bincount(rows, weights=expected, minlength=1 << n_bits))

@@ -79,3 +79,38 @@ def test_gate_and_transient_metrics_survive_tracing():
     assert layers["gates.coefficients_calls"] == 2
     assert math.isfinite(layers.get("sbit.transient_s", math.nan))
     assert layers["sbit.transient_s"] > 0
+
+
+def test_chains_layer_metrics_survive_tracing():
+    """Tiny versions of every `chains` job except the CLI wrappers: each
+    metric tracing.HOME gives `chains` (bar cli.*) is present and nonzero."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        target = apps.mixture_target([0.4, 0.6], [[-0.5, 0.3], [0.5, -0.3]],
+                                     [np.diag([0.4, 0.5]), np.diag([0.3, 0.6])])
+        apps.sghmc_sample(target, n_steps=50, dt=0.1, seed=1)
+        apps.sgld_sample(target, 0.05, n_steps=50, seed=2)
+        apps.hmc_sample(target, n_leapfrog=5, step=0.15, n_iter=20, seed=3)
+        apps.anneal(apps.double_well_target(2), n_steps=50, dt=0.01, seed=4, lam=4.0)
+        spec = apps.NSDESpec(2, 4, lambda t, H, w: np.tanh(H @ w.reshape(2, 2).T),
+                             f_w=lambda t, w: -w, sigma=0.1)
+        apps.weight_diffuser_rollout(spec, "prior", np.ones((3, 2)), 0.1, 0.01, seed=5)
+        r = sbit.RateSchedule.constant(2.0)
+        system = sbit.SBitSystem.single_flip([r] * 3, [r] * 3)
+        traj = sbit.sample_coupled_trajectory(system, (0, 0, 0), 2.0, seed=6)
+        traj.state_at(1.0)
+        sbit.transient_distribution(system, np.full(8, 1 / 8), 0.5)
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer.spans, 0)
+    wanted = sorted(name for name, home in tracing.HOME.items()
+                    if home == "chains" and not name.startswith("cli."))
+    assert wanted
+    missing = [name for name in wanted if name not in layers]
+    assert not missing, f"traced chains jobs produced no {missing}"
+    for name in wanted:
+        assert math.isfinite(layers[name]) and layers[name] > 0, (name, layers[name])
+    # One gradient per leapfrog plus one at the start: 20 * 5 + 1 for HMC.
+    assert layers["potentials.gradient_calls"] == 50 + 50 + 20 * 5 + 1 + 50
