@@ -11,18 +11,16 @@ from .circuit import (AdjacencyMatrix, Cell, Coupling, NoiseSourceSpec,
                       RCNetlist, apply_adjacency, compile_network,
                       compile_rc_cell, shot_noise_amplitude,
                       thermal_noise_amplitude)
-from .core_sde import (EnsembleSummary, GaussianMoments, SDEModel, StateVector,
-                       Trajectory, euler_maruyama_step, fixed_initial,
-                       gaussian_initial, monte_carlo_expectation,
-                       propagate_moments, simulate_ensemble,
-                       simulate_trajectory, stationary_covariance,
-                       trajectory_rng)
+from .core_sde import (EnsembleSummary, GaussianMoments, SDEModel, Trajectory,
+                       fixed_initial, gaussian_initial, propagate_moments,
+                       simulate_ensemble, simulate_trajectory,
+                       stationary_covariance, trajectory_rng)
 from .demon import (AnalyticScoreDemon, Demon, ForceDemon, ScoreNetworkDemon,
                     TotalDerivativeDemon, ZeroDemon, analytic_score,
-                    demon_output, force_demon_step, total_derivative_step)
+                    total_derivative_step)
 from .errors import ConfigError, ContractViolationError, DivergenceError
 from .gates import (GateProgram, GateSegment, Generator, Schedule,
-                    apply_program, constant_schedule, discrete_gate_sequence,
+                    constant_schedule, discrete_gate_sequence,
                     evaluate_schedule, program_from_json, program_to_json,
                     single_smode_gate)
 from .potentials import (DoubleWellPotential, Gaussian, GaussianMixture,

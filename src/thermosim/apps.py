@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_sde import SDEModel, _grid, trajectory_rng
+from .core_sde import SDEModel, _grid, _path, trajectory_rng
 from .demon import ForceDemon
 from .errors import ContractViolationError, DivergenceError
+from .gates import GateProgram, constant_schedule
 from .potentials import (DoubleWellPotential, Gaussian, GaussianMixture,
                          NegativeLogDensityPotential, QuadraticPotential,
                          central_difference_gradient)
@@ -57,23 +58,21 @@ class DiffusionSpec:
 
 
 def diffusion_forward(spec: DiffusionSpec, x0_batch, dt, seed):
-    """Noise a batch forward: dx = f(t) x dt + g(t) dw.  Returns (times,
-    states) with states of shape (batch, steps + 1, dim)."""
-    X = np.atleast_2d(np.asarray(x0_batch, dtype=float)).copy()
+    """Noise a batch forward: dx = f(t) x dt + g(t) dw, the s-mode device
+    (A, b, C) = (I, 0, I) with f and g programmed onto its drift and
+    diffusion.  Member i starts at row i of the batch and draws its noise
+    from trajectory_rng(seed, i).  Returns (times, states) with states of
+    shape (batch, steps + 1, dim)."""
+    X = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if not np.all(np.isfinite(X)):
         raise ContractViolationError("x0 batch must be finite")
     n_steps = _grid(0.0, spec.T, dt)
-    rng = trajectory_rng(seed, 0)
-    out = np.empty((X.shape[0], n_steps + 1, spec.dim))
-    out[:, 0] = X
-    t = 0.0
-    for k in range(n_steps):
-        noise = rng.standard_normal(X.shape)
-        X = X + spec.f(t) * X * dt + spec.g(t) * np.sqrt(dt) * noise
-        t += dt
-        out[:, k + 1] = X
-    times = dt * np.arange(n_steps + 1)
-    return times, out
+    eye = np.eye(spec.dim)
+    program = GateProgram(schedule_A=constant_schedule("drift_super", spec.f, 0.0, spec.T),
+                          schedule_C=constant_schedule("diffusion_super", spec.g, 0.0, spec.T))
+    out = _path(SDEModel(eye, np.zeros(spec.dim), eye), program, None, X,
+                dt * np.arange(n_steps), np.full(n_steps, dt), seed)
+    return dt * np.arange(n_steps + 1), out
 
 
 def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
@@ -285,11 +284,13 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
     if step <= 0:
         raise ContractViolationError("step must be positive")
     n = target.dim
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise ContractViolationError("x0 must be finite")
     M = np.eye(n) if mass is None else np.atleast_2d(np.asarray(mass, dtype=float))
     Minv = np.linalg.inv(M)
     chol = np.linalg.cholesky(M)
     rng = trajectory_rng(seed, 0)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     chain = np.empty((n_iter, n))
     accepted = 0
     half_step = 0.5 * step
@@ -407,7 +408,8 @@ def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,
                        t0=0.0, dt=1e-2, seed=0):
     """Run the programmed SDE from h0 and read the state at the requested
     times; the step is shrunk per segment so every checkpoint lands on the
-    grid exactly."""
+    grid exactly.  The path is trajectory 0 of trajectory_rng(seed, 0) in
+    the ensemble stepper, with its divergence check."""
     checkpoints = [float(t) for t in checkpoint_times]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ContractViolationError("checkpoint times must be increasing")
@@ -419,29 +421,14 @@ def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,
     v = np.asarray(h0, dtype=float).reshape(-1)
     if v.shape != (model.dim,):
         raise ContractViolationError("h0 dimension mismatch")
-    rng = trajectory_rng(seed, 0)
-    if demon is not None:
-        demon = demon.clone()
-        demon.reset()
-    readouts = []
-    t = t0
+    t, k, times, dts, marks = t0, 0, [np.empty(0)], [np.empty(0)], []
     for tk in checkpoints:
-        if abs(tk - t) < 1e-12:
-            readouts.append(v.copy())
-            continue
-        n = max(1, int(np.ceil((tk - t) / dt - 1e-9)))
-        h = (tk - t) / n
-        for _ in range(n):
-            if program is None:
-                A, b, C, D = model.coefficients(t)
-            else:
-                A, b, C, D = program.coefficients(model, t)
-            d = np.zeros(model.demon_dim) if demon is None else demon.query(t, v)
-            v_new = v + (A @ v + b + D @ d) * h + C @ rng.standard_normal(model.dim) * np.sqrt(h)
-            if demon is not None:
-                demon.advance(t, v, (v_new - v) / h, h)
-            v = v_new
-            t += h
-        t = tk
-        readouts.append(v.copy())
-    return np.asarray(checkpoints), np.asarray(readouts)
+        if abs(tk - t) >= 1e-12:
+            n = max(1, int(np.ceil((tk - t) / dt - 1e-9)))
+            times.append(t + (tk - t) / n * np.arange(n))
+            dts.append(np.full(n, (tk - t) / n))
+            t, k = tk, k + n
+        marks.append(k)
+    path = _path(model, program, demon, v[None], np.concatenate(times),
+                 np.concatenate(dts), seed)
+    return np.asarray(checkpoints), path[0, marks]

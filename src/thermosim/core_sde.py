@@ -88,18 +88,6 @@ class SDEModel:
         return self.A0, self.b0, self.C0, self.D0
 
 
-@dataclass(frozen=True)
-class StateVector:
-    t: float
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise ContractViolationError("state vector has non-finite entries")
-        object.__setattr__(self, "v", v)
-
-
 @dataclass
 class Trajectory:
     """Sampled path on a uniform grid: times (T,), values (T, N)."""
@@ -117,9 +105,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    def state(self, i: int) -> StateVector:
-        return StateVector(self.times[i], self.values[i])
 
     def to_csv(self, path):
         n = self.values.shape[1]
@@ -172,34 +157,6 @@ class EnsembleSummary:
             fh.write(json.dumps(doc, allow_nan=False))
 
 
-def _check_coeffs(model, coeffs):
-    A, b, C, D = (np.asarray(x, dtype=float) for x in coeffs)
-    n, m = model.dim, model.demon_dim
-    if A.shape != (n, n) or b.shape != (n,) or C.shape != (n, n) or D.shape != (n, m):
-        raise ContractViolationError("coefficient shapes inconsistent with model")
-    return A, b, C, D
-
-
-def euler_maruyama_step(model, coeffs, demon_drift, state: StateVector, dt: float, noise) -> StateVector:
-    """One explicit step: v + (A v + b + D d) dt + C (sqrt(dt) noise)."""
-    if dt <= 0:
-        raise ContractViolationError("dt must be positive")
-    A, b, C, D = _check_coeffs(model, coeffs)
-    noise = np.asarray(noise, dtype=float).reshape(-1)
-    if noise.shape != (model.dim,):
-        raise ContractViolationError("noise must be an N-vector")
-    if demon_drift is None:
-        d = np.zeros(model.demon_dim)
-    else:
-        d = np.asarray(demon_drift, dtype=float).reshape(-1)
-        if d.shape != (model.demon_dim,):
-            raise ContractViolationError("demon output dimension mismatch")
-    v = state.v + (A @ state.v + b + D @ d) * dt + C @ noise * np.sqrt(dt)
-    if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"trajectory diverged at t={state.t + dt:g}")
-    return StateVector(state.t + dt, v)
-
-
 def _grid(t0, tf, dt):
     if tf <= t0:
         raise ContractViolationError("tf must exceed t0")
@@ -211,16 +168,17 @@ def _grid(t0, tf, dt):
     return n_steps
 
 
-def _propagators(model, program, step_times, dt):
+def _propagators(model, program, step_times, dts):
     """Per-step maps of the Euler-Maruyama update on row states,
 
         V_{k+1} = V_k M_k + (noise_k S_k + c_k) + d_k E_k,
 
-    with M = I + dt A^T, S = sqrt(dt) C^T, c = dt b and E = dt D^T built from
-    the coefficients at each step start time.  Each is indexable by step;
-    without a program they are broadcast views of one map.
+    with M = I + h A^T, S = sqrt(h) C^T, c = h b and E = h D^T built from
+    the coefficients at each step start time and the step size h = dts[k].
+    Each is indexable by step; without a program and with one step size
+    they are broadcast views of one map.
     """
-    if program is None:
+    if program is None or not len(step_times):
         table = [model.coefficients(0.0)]
     else:
         table = [program.coefficients(model, t) for t in step_times]
@@ -229,8 +187,11 @@ def _propagators(model, program, step_times, dt):
     if A.shape[1:] != (n, n) or b.shape[1:] != (n,) or C.shape[1:] != (n, n) \
             or D.shape[1:] != (n, m):
         raise ContractViolationError("coefficient shapes inconsistent with model")
-    maps = (np.eye(n) + dt * A.transpose(0, 2, 1), np.sqrt(dt) * C.transpose(0, 2, 1),
-            dt * b, dt * D.transpose(0, 2, 1))
+    if len(A) == 1 and np.all(dts == dts[:1]):
+        dts = dts[:1]
+    h = dts[:, None, None]
+    maps = (np.eye(n) + h * A.transpose(0, 2, 1), np.sqrt(h) * C.transpose(0, 2, 1),
+            h[:, 0] * b, h * D.transpose(0, 2, 1))
     return tuple(np.broadcast_to(x, (len(step_times),) + x.shape[1:]) for x in maps)
 
 
@@ -241,29 +202,32 @@ def _block_steps(m, n, n_steps):
     return block, max(1, min(block, SUB_BLOCK_BYTES // row))
 
 
-def _check_diverged(X, k, start, step_times, dt):
+def _check_diverged(X, k, start, ends):
     """Raise for the first step, then the first trajectory, whose state in
-    X (steps k, k+1, ... by batch by N) is non-finite or runaway."""
+    X (steps k, k+1, ... by batch by N, step j ending at ends[j]) is
+    non-finite or runaway."""
     if X.max() <= DIVERGENCE_LIMIT and X.min() >= -DIVERGENCE_LIMIT:
         return
     j, i = np.argwhere(~np.all(np.abs(X) <= DIVERGENCE_LIMIT, axis=2))[0]
-    raise DivergenceError(f"trajectory {start + i} diverged at t={step_times[k + j] + dt:g}")
+    raise DivergenceError(f"trajectory {start + i} diverged at t={ends[k + j]:g}")
 
 
-def _integrate(props, step_times, dt, demon, initial_sampler, base_seed, start, stop,
+def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start, stop,
                observe):
-    """Step trajectories start..stop-1 over the whole grid; return final states.
+    """Step trajectories start..stop-1 over the whole grid, step k from
+    step_times[k] by dts[k]; return final states.
 
     Trajectory i draws its initial state, then its noise, from
     trajectory_rng(base_seed, i), one time block at a time into a reused
     (m, block, N) buffer.  Each block is stepped in cache-sized sub-blocks:
     the noise map, the divergence check and ``observe(k, X)`` (X holds the
     states at grid indices k, k+1, ...) run once per sub-block.  With a demon
-    the divergence check runs every step, before the demon sees the state.
+    the divergence check runs every step, before the demon sees the state,
+    and its output must be (m, M).
     """
     M, S, c, E = props
     n_steps, n = len(step_times), M.shape[-1]
-    m = stop - start
+    m, ends = stop - start, step_times + dts
     rngs = [trajectory_rng(base_seed, i) for i in range(start, stop)]
     V0 = np.array([initial_sampler(rng) for rng in rngs], dtype=float)
     if V0.shape != (m, n):
@@ -295,15 +259,31 @@ def _integrate(props, step_times, dt, demon, initial_sampler, base_seed, start, 
                         continue
                     t = step_times[k + j]
                     d = demon.query_batch(t, V) if state is None else state.query(t, V)
+                    if np.shape(d) != (m, E.shape[1]):
+                        raise ContractViolationError("demon output dimension mismatch")
                     X[j] += d @ E[k + j]
-                    _check_diverged(X[j:j + 1], k + j, start, step_times, dt)
+                    _check_diverged(X[j:j + 1], k + j, start, ends)
                     if state is not None:
-                        state.advance(t, V, (X[j] - V) / dt, dt)
+                        state.advance(t, V, (X[j] - V) / dts[k + j], dts[k + j])
                 if demon is None:
-                    _check_diverged(X, k, start, step_times, dt)
+                    _check_diverged(X, k, start, ends)
                 observe(k + 1, X)
                 Vs[0] = Vs[s]
     return Vs[0].copy()
+
+
+def _path(model, program, demon, V0, step_times, dts, seed):
+    """Whole path (m, steps + 1, N) of the trajectories starting at the rows
+    of V0 (m, N); row i draws its noise from trajectory_rng(seed, i)."""
+    out = np.empty((len(V0), len(step_times) + 1, model.dim))
+
+    def record(k, X):
+        out[:, k:k + len(X)] = X.transpose(1, 0, 2)
+
+    rows = iter(V0)
+    _integrate(_propagators(model, program, step_times, dts), step_times, dts, demon,
+               lambda rng: next(rows), seed, 0, len(V0), record)
+    return out
 
 
 def simulate_trajectory(model: SDEModel, program=None, demon=None, v0=None, t0=0.0,
@@ -318,14 +298,8 @@ def simulate_trajectory(model: SDEModel, program=None, demon=None, v0=None, t0=0
     v0 = np.zeros(model.dim) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
     if v0.shape != (model.dim,):
         raise ContractViolationError("v0 dimension mismatch")
-    step_times = t0 + dt * np.arange(n_steps)
-    values = np.empty((n_steps + 1, model.dim))
-
-    def record(k, X):
-        values[k:k + len(X)] = X[:, 0]
-
-    _integrate(_propagators(model, program, step_times, dt), step_times, dt, demon,
-               fixed_initial(v0), seed, 0, 1, record)
+    step_times, dts = t0 + dt * np.arange(n_steps), np.full(n_steps, dt)
+    values = _path(model, program, demon, v0[None], step_times, dts, seed)[0]
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = tf
     return Trajectory(times, values)
@@ -373,8 +347,8 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     n = model.dim
     if initial_sampler is None:
         initial_sampler = fixed_initial(np.zeros(n))
-    step_times = t0 + dt * np.arange(n_steps)
-    props = _propagators(model, program, step_times, dt)
+    step_times, dts = t0 + dt * np.arange(n_steps), np.full(n_steps, dt)
+    props = _propagators(model, program, step_times, dts)
     sum_v = np.zeros((n_steps + 1, n))
     sum_vv = np.zeros((n_steps + 1, n, n))
     finals = np.empty((n_traj, n)) if keep_final else None
@@ -385,7 +359,7 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
 
     for start in range(0, n_traj, chunk_size):
         stop = min(start + chunk_size, n_traj)
-        V = _integrate(props, step_times, dt, demon, initial_sampler, base_seed,
+        V = _integrate(props, step_times, dts, demon, initial_sampler, base_seed,
                        start, stop, accumulate)
         if keep_final:
             finals[start:stop] = V
@@ -440,14 +414,6 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
         t += dt
         out.append(GaussianMoments(t, mu.copy(), cov.copy()))
     return out
-
-
-def monte_carlo_expectation(samples, f) -> float:
-    """Sample average of f over a list/array of state vectors."""
-    samples = list(samples)
-    if not samples:
-        raise ContractViolationError("monte_carlo_expectation needs at least one sample")
-    return float(np.mean([f(np.asarray(s, dtype=float)) for s in samples]))
 
 
 def stationary_covariance(model: SDEModel) -> np.ndarray:

@@ -264,24 +264,6 @@ class ForceDemon(Demon):
         self.x = self.x0.copy()
 
 
-def force_demon_step(demon: ForceDemon, t, p, dt):
-    """Advance the latent by M^-1 p dt and return the force at the new latent."""
-    if dt <= 0:
-        raise ContractViolationError("dt must be positive")
-    demon.advance(t, p, None, dt)
-    return demon.query(t, p)
-
-
-def demon_output(demon: Demon, t, v, dv_dt=None):
-    """Public query honoring the per-variant input contract."""
-    if isinstance(demon, TotalDerivativeDemon) and dv_dt is None:
-        raise ContractViolationError("total-derivative demon requires dv_dt")
-    out = np.asarray(demon.query(t, np.asarray(v, dtype=float), dv_dt), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ContractViolationError("demon output not finite")
-    return out
-
-
 def analytic_score(distribution, x):
     """Exact grad log p for a Gaussian or Gaussian mixture."""
     if not isinstance(distribution, (Gaussian, GaussianMixture)):

@@ -323,13 +323,6 @@ class GateProgram:
         return A, b, C, D
 
 
-def apply_program(program: GateProgram | None, model, t: float):
-    """Programmed coefficients at time t; empty program returns the base ones."""
-    if program is None:
-        return model.A0, model.b0, model.C0, model.D0
-    return program.coefficients(model, t)
-
-
 def discrete_gate_sequence(target, generators, t0, dwell, compose=True) -> Schedule:
     """Convenience: fixed-duration segments, one per generator."""
     segs = []

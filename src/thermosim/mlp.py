@@ -103,7 +103,7 @@ class MLP:
                 delta *= deriv[i - 1]
         return dWs, dbs
 
-    # flat parameter vector helpers (finite-difference checks, SPSA)
+    # flat parameter vector helpers (finite-difference checks, optimizers)
     def get_flat(self):
         return np.concatenate([W.ravel() for W in self.weights]
                               + [b.ravel() for b in self.biases])

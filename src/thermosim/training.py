@@ -190,9 +190,8 @@ def kernel_dsm_objective(data_sampler, vp_schedule: VPSchedule, batch_size: int,
 def train_demon(demon, objective, config: TrainConfig):
     """Optimize demon parameters against a per-step objective.
 
-    `objective(demon, rng)` returns (loss, flat gradients) for network
-    demons; for gradient-free demons it returns just the loss and a
-    simultaneous-perturbation estimator supplies the search direction.
+    `objective(demon, rng)` returns (loss, flat gradients) of the demon's
+    network parameters.
     """
     rng = np.random.default_rng(config.seed)
     opt = Adam(config.learning_rate) if config.optimizer == "adam" else SGD(config.learning_rate)
@@ -203,28 +202,15 @@ def train_demon(demon, objective, config: TrainConfig):
     history = []
     for step in range(config.steps):
         out = objective(demon, rng)
-        if isinstance(out, tuple):
-            loss, grads = out
-        else:
-            loss, grads = out, _spsa_gradient(demon, objective, params, rng)
+        if not isinstance(out, tuple):
+            raise ContractViolationError("objective must return (loss, gradients)")
+        loss, grads = out
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss diverged at step {step}")
         history.append(loss)
         params = opt.step(params, grads)
         net.set_flat(params)
     return demon, np.asarray(history)
-
-
-def _spsa_gradient(demon, objective, params, rng, c=1e-2):
-    """Two-sided simultaneous-perturbation gradient estimate."""
-    delta = rng.choice([-1.0, 1.0], size=params.size)
-    net = demon.net
-    net.set_flat(params + c * delta)
-    lp = objective(demon, rng)
-    net.set_flat(params - c * delta)
-    lm = objective(demon, rng)
-    net.set_flat(params)
-    return (lp - lm) / (2 * c) * delta
 
 
 def loss_history_to_csv(history, path):

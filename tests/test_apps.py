@@ -6,11 +6,14 @@ from thermosim import (AnalyticScoreDemon, ConjugateGaussianModel,
                        ContractViolationError, DiffusionSpec, DivergenceError,
                        Gaussian,
                        GateProgram, GateSegment, Generator, NSDESpec,
-                       SDEModel, Schedule, TargetDistribution, VPSchedule,
-                       anneal, diffusion_forward, diffusion_reverse,
-                       double_well_target, gaussian_target, hmc_sample,
-                       latent_sde_rollout, mixture_target, propagate_moments,
-                       sghmc_sample, sgld_sample, weight_diffuser_rollout)
+                       SDEModel, Schedule, TargetDistribution,
+                       TotalDerivativeDemon, VPSchedule, anneal,
+                       diffusion_forward, diffusion_reverse,
+                       discrete_gate_sequence, double_well_target,
+                       gaussian_target, hmc_sample, latent_sde_rollout,
+                       mixture_target, propagate_moments, sghmc_sample,
+                       sgld_sample, simulate_trajectory,
+                       weight_diffuser_rollout)
 
 
 def gaussian_score_demon(mean, var, schedule):
@@ -72,6 +75,15 @@ class TestDiffusionForward:
         spec = DiffusionSpec("vp", 1, T=1.0)
         with pytest.raises(ContractViolationError):
             diffusion_forward(spec, [[0.0]], 0.3, seed=0)
+
+    def test_member_stream_independent_of_batch(self):
+        """Member i draws from trajectory_rng(seed, i), so row 0 of a batch
+        is the same start noised alone."""
+        spec = DiffusionSpec("vp", 2, T=1.0)
+        x0 = np.random.default_rng(0).standard_normal((5, 2))
+        _, batch = diffusion_forward(spec, x0, 0.01, seed=3)
+        _, alone = diffusion_forward(spec, x0[:1], 0.01, seed=3)
+        np.testing.assert_allclose(batch[0], alone[0], rtol=1e-12, atol=1e-12)
 
 
 class TestDiffusionReverse:
@@ -261,6 +273,11 @@ class TestHMC:
         with pytest.raises(ContractViolationError):
             hmc_sample(target, n_leapfrog=0, step=0.1, n_iter=10, seed=0)
 
+    def test_nonfinite_start_rejected(self):
+        target = gaussian_target([0.0, 0.0], np.eye(2))
+        with pytest.raises(ContractViolationError, match="x0"):
+            hmc_sample(target, n_iter=20, x0=[np.nan, 0.0], burn_in=0)
+
 
 class TestAnneal:
     def test_double_well_minimum_found(self):
@@ -420,3 +437,33 @@ class TestLatentRollout:
         model = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[0.0]])
         with pytest.raises(ContractViolationError):
             latent_sde_rollout(model, None, None, [0.0], [0.5, 0.2])
+
+    def test_matches_simulate_trajectory_on_grid(self):
+        """Grid-aligned checkpoints read the simulate_trajectory path of the
+        same seed, with a time-dependent program and a stateful demon."""
+        model = SDEModel(A0=[[-0.5, 0.3], [-0.2, -1.0]], b0=[0.4, -0.1],
+                         C0=[[0.6, 0.0], [0.1, 0.4]])
+        program = GateProgram(schedule_A=discrete_gate_sequence(
+            "drift_super", [Generator.scalar("drift_super", k) for k in (0.5, -0.8)],
+            0.0, 0.5))
+        demon = TotalDerivativeDemon(lambda t, v: 0.1 * v + t,
+                                     lambda t, v: 0.2 * np.eye(2), [0.0, 0.0])
+        checkpoints = [0.25, 0.5, 1.0]
+        _, out = latent_sde_rollout(model, program, demon, [1.0, -0.5], checkpoints,
+                                    dt=0.05, seed=11)
+        traj = simulate_trajectory(model, program, demon, v0=[1.0, -0.5], tf=1.0,
+                                   dt=0.05, seed=11)
+        np.testing.assert_allclose(out, traj.values[[5, 10, 20]], rtol=1e-12, atol=1e-12)
+
+    def test_divergence_raised(self):
+        model = SDEModel(A0=[[400.0]], b0=[0.0], C0=[[0.0]])
+        with pytest.raises(DivergenceError, match="t=0.18"):
+            latent_sde_rollout(model, None, None, [1.0], [0.5, 1.0], dt=0.01)
+
+    def test_programmed_checkpoints_at_start_take_no_step(self):
+        model = SDEModel(A0=[[-1.0]], b0=[1.0], C0=[[1.0]])
+        program = GateProgram(schedule_b=Schedule(
+            [GateSegment(Generator.scalar("drift_vec", 0.5), 0.0, 1.0)]))
+        times, out = latent_sde_rollout(model, program, None, [2.0], [0.0])
+        np.testing.assert_array_equal(times, [0.0])
+        np.testing.assert_array_equal(out, [[2.0]])

@@ -134,6 +134,14 @@ class TestSamplers:
         chain = np.loadtxt(tmp_path / "o" / "chain.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(chain, 0.5)
 
+    def test_hmc_nonfinite_start_exit_2(self, tmp_path):
+        cfg = {"seed": 0, "target": {"kind": "gaussian", "mean": [0.0, 0.0],
+                                     "cov": [[1.0, 0.0], [0.0, 1.0]]},
+               "n_iter": 20, "x0": [float("nan"), 0.0], "output_dir": str(tmp_path / "o")}
+        result = run_cli(["hmc", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 2
+        assert "x0 must be finite" in result.output
+
     def test_anneal(self, tmp_path):
         cfg = {"seed": 5, "loss": {"kind": "double_well", "dim": 1},
                "n_steps": 2000, "dt": 0.01, "output_dir": str(tmp_path / "o")}

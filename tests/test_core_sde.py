@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermosim import (ContractViolationError, DivergenceError, GateProgram,
-                       GateSegment, Generator, SDEModel, Schedule,
-                       StateVector, TotalDerivativeDemon, core_sde,
-                       euler_maruyama_step, fixed_initial, gaussian_initial,
-                       monte_carlo_expectation, propagate_moments,
+from thermosim import (AnalyticScoreDemon, ContractViolationError,
+                       DivergenceError, GateProgram, GateSegment, Generator,
+                       SDEModel, Schedule, TotalDerivativeDemon, core_sde,
+                       fixed_initial, gaussian_initial, propagate_moments,
                        simulate_ensemble, simulate_trajectory,
                        stationary_covariance, trajectory_rng)
 
@@ -43,31 +42,31 @@ class TestModelValidation:
 
 
 class TestEulerMaruyamaStep:
+    """Single Euler-Maruyama steps through simulate_trajectory."""
+
     def test_constant_drift(self):
         m = SDEModel(A0=np.zeros((2, 2)), b0=[1.0, 0.0], C0=np.zeros((2, 2)))
-        s = euler_maruyama_step(m, m.coefficients(0.0), None,
-                                StateVector(0.0, [0.0, 0.0]), 0.1, np.zeros(2))
-        np.testing.assert_allclose(s.v, [0.1, 0.0])
-        assert s.t == pytest.approx(0.1)
+        traj = simulate_trajectory(m, v0=[0.0, 0.0], tf=0.1, dt=0.1)
+        np.testing.assert_allclose(traj.values[-1], [0.1, 0.0])
+        assert traj.times[-1] == pytest.approx(0.1)
 
     def test_exponential_decay_step(self):
         m = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[0.0]])
-        s = euler_maruyama_step(m, m.coefficients(0.0), None,
-                                StateVector(0.0, [1.0]), 0.01, np.zeros(1))
-        np.testing.assert_allclose(s.v, [0.99])
+        traj = simulate_trajectory(m, v0=[1.0], tf=0.01, dt=0.01)
+        np.testing.assert_allclose(traj.values[-1], [0.99])
 
     def test_divergence_reported_with_time(self):
-        m = SDEModel(A0=[[0.0]], b0=[0.0], C0=[[0.0]])
+        m = SDEModel(A0=[[0.0]], b0=[2e12], C0=[[0.0]])
         with pytest.raises(DivergenceError, match="t="):
-            euler_maruyama_step(m, (np.array([[0.0]]), np.array([2e12]),
-                                    np.array([[0.0]]), np.array([[1.0]])),
-                                None, StateVector(0.0, [0.0]), 1.0, np.zeros(1))
+            simulate_trajectory(m, v0=[0.0], tf=1.0, dt=1.0)
 
     def test_demon_dimension_mismatch(self):
+        """A demon output that is not (m, M) is a contract violation, not a
+        numpy shape error."""
         m = vp_model()
-        with pytest.raises(ContractViolationError):
-            euler_maruyama_step(m, m.coefficients(0.0), [1.0, 2.0],
-                                StateVector(0.0, [0.0]), 0.1, np.zeros(1))
+        demon = AnalyticScoreDemon(lambda V, t: np.zeros((len(V), 2)), 2, batched=True)
+        with pytest.raises(ContractViolationError, match="demon output dimension"):
+            simulate_trajectory(m, demon=demon, tf=0.1, dt=0.1)
 
 
 class TestSimulateTrajectory:
@@ -189,9 +188,9 @@ class TestBlockStepper:
         np.testing.assert_array_equal(summary.means, traj.values)
 
     def test_matches_per_step_reference(self, monkeypatch):
-        """Against a loop of euler_maruyama_step fed one whole-grid draw of
-        the same stream: the block stepper regroups the float64 arithmetic
-        only, so the paths agree to rounding."""
+        """Against a per-step loop of v + (A v + b) dt + C z sqrt(dt) fed one
+        whole-grid draw of the same stream: the block stepper regroups the
+        float64 arithmetic only, so the paths agree to rounding."""
         small_blocks(monkeypatch)
         model = coupled_model()
         program = GateProgram(schedule_b=Schedule(
@@ -200,9 +199,8 @@ class TestBlockStepper:
         noise = trajectory_rng(17, 0).standard_normal((100, 2))
         v, ref = np.array([1.0, -0.5]), [[1.0, -0.5]]
         for k in range(100):
-            t = 0.01 * k
-            v = euler_maruyama_step(model, program.coefficients(model, t), None,
-                                    StateVector(t, v), 0.01, noise[k]).v
+            A, b, C, _ = program.coefficients(model, 0.01 * k)
+            v = v + (A @ v + b) * 0.01 + C @ noise[k] * np.sqrt(0.01)
             ref.append(v)
         np.testing.assert_allclose(traj.values, ref, rtol=1e-12, atol=1e-12)
 
@@ -301,22 +299,10 @@ class TestPropagateMoments:
 
 
 class TestMonteCarlo:
-    def test_constant(self):
-        assert monte_carlo_expectation([np.zeros(2)] * 5, lambda x: 3.0) == 3.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolationError):
-            monte_carlo_expectation([], lambda x: 1.0)
-
-    def test_normal_mean(self):
-        rng = np.random.default_rng(0)
-        samples = rng.standard_normal((10 ** 5, 1))
-        assert abs(monte_carlo_expectation(samples, lambda x: x[0])) < 0.02
-
     def test_vp_second_moment(self):
         summary = simulate_ensemble(vp_model(), tf=4.0, dt=0.01,
                                     n_traj=5000, base_seed=4, keep_final=True)
-        val = monte_carlo_expectation(summary.final_states, lambda x: x[0] ** 2)
+        val = np.mean(summary.final_states[:, 0] ** 2)
         assert abs(val - 1.0) < 0.1
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from thermosim import (ContractViolationError, GateProgram, GateSegment,
-                       Generator, SDEModel, Schedule, apply_program,
+                       Generator, SDEModel, Schedule,
                        constant_schedule, discrete_gate_sequence,
                        evaluate_schedule, program_from_json, program_to_json,
                        single_smode_gate)
@@ -80,7 +80,7 @@ class TestScheduleEvaluation:
 class TestApplyProgram:
     def test_empty_program_is_identity(self):
         m = base_model()
-        A, b, C, D = apply_program(None, m, 0.5)
+        A, b, C, D = m.coefficients(0.5)
         np.testing.assert_array_equal(A, m.A0)
         np.testing.assert_array_equal(b, m.b0)
         np.testing.assert_array_equal(C, m.C0)

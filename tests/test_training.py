@@ -221,6 +221,11 @@ class TestTrainDemon:
         with pytest.raises(DivergenceError, match="step 0"):
             train_demon(demon, bad_objective, TrainConfig(steps=3, seed=0))
 
+    def test_objective_without_gradients_rejected(self):
+        demon = ScoreNetworkDemon(1, hidden=(4,), seed=0)
+        with pytest.raises(ContractViolationError, match="gradients"):
+            train_demon(demon, lambda d, rng: 1.0, TrainConfig(steps=3, seed=0))
+
     def test_in_situ_objective_uses_env_kernel(self):
         env = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[np.sqrt(2.0)]])
         objective = kernel_dsm_objective(self.sampler, self.sched, 16,
