@@ -119,7 +119,7 @@ class TargetDistribution:
 def gaussian_target(mean, cov) -> TargetDistribution:
     mean = np.asarray(mean, dtype=float).reshape(-1)
     return TargetDistribution("gaussian", mean.size,
-                              QuadraticPotential(mean, np.linalg.inv(np.atleast_2d(cov))))
+                              QuadraticPotential(mean, Gaussian(mean, cov).precision))
 
 
 def mixture_target(weights, means, covs) -> TargetDistribution:

@@ -3,7 +3,8 @@
 Every subcommand reads one config file, requires an explicit seed (no
 wall-clock seeding), writes its artifacts plus a manifest.json recording the
 resolved config, package version, and artifact hashes.  Exit codes: 0
-success, 2 config error, 3 numerical divergence.
+success, 1 internal error (the message names the exception type), 2 config
+error, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .sbit import RateSchedule, sample_sbit_trajectory
 from .training import (TrainConfig, VPSchedule, kernel_dsm_objective,
                        loss_history_to_csv, train_demon)
 
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 CSV_BLOCK_VALUES = 512
@@ -54,16 +56,49 @@ def _load_config(path):
     return cfg
 
 
-def _get(cfg, path, default=None, required=False):
-    """Walk a dotted field path; missing required fields name the path."""
-    node = cfg
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
+def _get(cfg, path, default=None, required=False, kind=None):
+    """Walk a dotted field path and convert its value with ``kind``.  A null
+    value counts as missing.  A missing required field, a non-mapping on the
+    path and a value that ``kind`` rejects raise ConfigError naming the path."""
+    node, keys = cfg, path.split(".")
+    for i, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(f"config field {'.'.join(keys[:i])} must be a mapping")
+        node = node.get(key)
+        if node is None:
             if required:
                 raise ConfigError(f"missing config field: {path}")
             return default
-        node = node[key]
-    return node
+    if kind is None:
+        return node
+    try:
+        return kind(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {path}: {exc}") from None
+
+
+def _array(rank):
+    """``_get`` kind: a float array of at least one and at most ``rank`` dimensions."""
+    def convert(value):
+        a = np.array(value, dtype=float, ndmin=1)
+        if a.ndim > rank:
+            raise ValueError(f"must be a number array of rank at most {rank}")
+        return a
+
+    return convert
+
+
+def _from_file(cfg, field, parse, required=True):
+    """``parse`` the text of the file a config field names, or return None if
+    it names none; a missing or malformed file is a config error."""
+    path = _get(cfg, field, required=required)
+    if path is None:
+        return None
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {field}: cannot load {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def _resolve(cfg, output_dir, seed):
@@ -118,62 +153,49 @@ def _write_json(path, doc):
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _chain_metrics(chain):
+def _write_samples(out, name, chain, **metrics):
+    """Write a chain as CSV ``name`` plus metrics.json (sample count, mean,
+    covariance and ``metrics``); return both artifact names."""
     chain = np.atleast_2d(np.asarray(chain, dtype=float))
-    return {
-        "n_samples": int(chain.shape[0]),
-        "mean": np.mean(chain, axis=0).tolist(),
-        "cov": np.atleast_2d(np.cov(chain.T)).tolist(),
-    }
+    _write_chain_csv(out / name, chain)
+    _write_json(out / "metrics.json", dict(
+        n_samples=int(chain.shape[0]), mean=np.mean(chain, axis=0).tolist(),
+        cov=np.atleast_2d(np.cov(chain.T)).tolist(), **metrics))
+    return [name, "metrics.json"]
 
 
 def _build_model(cfg):
-    spec = _get(cfg, "model", required=True)
-    if "netlist" in spec:
-        return compile_network(RCNetlist.from_json(Path(spec["netlist"]).read_text()))
-    if "vp" in spec:
-        beta, dim = float(spec["vp"].get("beta", 2.0)), int(spec["vp"].get("dim", 1))
+    _get(cfg, "model", required=True)
+    if _get(cfg, "model.netlist") is not None:
+        return compile_network(_from_file(cfg, "model.netlist", RCNetlist.from_json))
+    if _get(cfg, "model.vp") is not None:
+        beta = _get(cfg, "model.vp.beta", 2.0, kind=float)
+        dim = _get(cfg, "model.vp.dim", 1, kind=int)
         return SDEModel(A0=-0.5 * beta * np.eye(dim), b0=np.zeros(dim),
                         C0=np.sqrt(beta) * np.eye(dim))
-    if "ve" in spec:
-        c0, dim = float(spec["ve"].get("c0", 1.0)), int(spec["ve"].get("dim", 1))
+    if _get(cfg, "model.ve") is not None:
+        c0 = _get(cfg, "model.ve.c0", 1.0, kind=float)
+        dim = _get(cfg, "model.ve.dim", 1, kind=int)
         return SDEModel(A0=np.zeros((dim, dim)), b0=np.zeros(dim), C0=c0 * np.eye(dim))
-    if "A0" in spec:
-        return SDEModel(A0=spec["A0"], b0=spec["b0"], C0=spec["C0"],
-                        D0=spec.get("D0"))
+    if _get(cfg, "model.A0") is not None:
+        return SDEModel(*(_get(cfg, f"model.{name}", required=True, kind=_array(rank))
+                          for name, rank in (("A0", 2), ("b0", 1), ("C0", 2))),
+                        D0=_get(cfg, "model.D0", kind=_array(2)))
     raise ConfigError("config field model must give netlist, vp, ve, or explicit matrices")
 
 
 def _build_target(cfg, field="target"):
-    spec = _get(cfg, field, required=True)
-    kind = spec.get("kind")
+    def get(key, rank):
+        return _get(cfg, f"{field}.{key}", required=True, kind=_array(rank))
+
+    kind = _get(cfg, f"{field}.kind", required=True)
     if kind == "gaussian":
-        return gaussian_target(spec["mean"], spec["cov"])
+        return gaussian_target(get("mean", 1), get("cov", 2))
     if kind == "mixture":
-        return mixture_target(spec["weights"], spec["means"], spec["covs"])
+        return mixture_target(get("weights", 1), get("means", 2), get("covs", 3))
     if kind == "double_well":
-        return double_well_target(int(spec.get("dim", 1)))
+        return double_well_target(_get(cfg, f"{field}.dim", 1, kind=int))
     raise ConfigError(f"config field {field}.kind must be gaussian, mixture, or double_well")
-
-
-def _run(fn):
-    """Uniform error-to-exit-code mapping for all subcommands."""
-    try:
-        fn()
-    except (ConfigError, ContractViolationError, KeyError, TypeError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except DivergenceError as exc:
-        click.echo(f"divergence: {exc}", err=True)
-        sys.exit(EXIT_DIVERGED)
-
-
-def _common(fn):
-    fn = click.option("--seed", type=int, default=None, help="Override config seed.")(fn)
-    fn = click.option("--output-dir", type=click.Path(), default=None,
-                      help="Override config output directory.")(fn)
-    fn = click.argument("config", type=click.Path(exists=True))(fn)
-    return fn
 
 
 @click.group()
@@ -181,308 +203,242 @@ def main():
     """Thermodynamic-hardware simulator experiment runner."""
 
 
+def _subcommand(name=None):
+    """Register ``fn(cfg, out) -> artifact names`` as a subcommand whose runner
+    loads and resolves the config, calls ``fn``, writes the manifest, and maps
+    failures to exit codes with a one-line message."""
+    def register(fn):
+        @main.command(name or fn.__name__, help=fn.__doc__)
+        @click.argument("config", type=click.Path(exists=True))
+        @click.option("--output-dir", type=click.Path(), default=None,
+                      help="Override config output directory.")
+        @click.option("--seed", type=int, default=None, help="Override config seed.")
+        def command(config, output_dir, seed):
+            try:
+                cfg, out = _resolve(_load_config(config), output_dir, seed)
+                _write_manifest(out, cfg, fn(cfg, out))
+                return
+            except (ConfigError, ContractViolationError) as exc:
+                code, message = EXIT_CONFIG, f"config error: {exc}"
+            except DivergenceError as exc:
+                code, message = EXIT_DIVERGED, f"divergence: {exc}"
+            except Exception as exc:
+                code, message = EXIT_INTERNAL, f"error: {type(exc).__name__}: {exc}"
+            click.echo(message, err=True)
+            sys.exit(code)
+
+        return command
+
+    return register
+
+
 # -------------------------------------------------------------- subcommands
 
-@main.command()
-@_common
-def simulate(config, output_dir, seed):
+@_subcommand()
+def simulate(cfg, out):
     """Simulate an s-mode SDE: trajectory CSV plus ensemble/oracle moments."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        model = _build_model(cfg)
-        program = None
-        if _get(cfg, "program") is not None:
-            program = program_from_json(Path(cfg["program"]).read_text())
-        t0 = float(_get(cfg, "t0", 0.0))
-        tf = float(_get(cfg, "tf", required=True))
-        dt = float(_get(cfg, "dt", required=True))
-        init = _get(cfg, "initial")
-        cov0 = np.zeros((model.dim, model.dim))
-        if init is None:
-            sampler, v0 = fixed_initial(np.zeros(model.dim)), np.zeros(model.dim)
-        elif init.get("kind") == "fixed":
-            v0 = np.asarray(init["v0"], dtype=float)
-            sampler = fixed_initial(v0)
-        elif init.get("kind") == "gaussian":
-            sampler = gaussian_initial(init["mean"], init["cov"])
-            v0 = np.asarray(init["mean"], dtype=float)
-            cov0 = np.asarray(init["cov"], dtype=float)
-        else:
-            raise ConfigError("config field initial.kind must be fixed or gaussian")
-        traj = simulate_trajectory(model, program, None, v0, t0, tf, dt, cfg["seed"])
-        traj.to_csv(out / "trajectory.csv")
-        n_traj = int(_get(cfg, "n_traj", 1))
-        summary = simulate_ensemble(model, program, None, sampler, t0, tf, dt,
-                                    n_traj, cfg["seed"])
-        summary.to_json(out / "moments.json")
-        oracle = propagate_moments(model, program, v0, cov0, t0, tf, dt)
-        _write_json(out / "oracle_moments.json", {
-            "times": [m.t for m in oracle],
-            "mean": [m.mean.tolist() for m in oracle],
-            "cov": [m.cov.tolist() for m in oracle],
-        })
-        _write_manifest(out, cfg, ["trajectory.csv", "moments.json", "oracle_moments.json"])
-
-    _run(body)
+    model = _build_model(cfg)
+    program = _from_file(cfg, "program", program_from_json, required=False)
+    seed, t0 = _get(cfg, "seed"), _get(cfg, "t0", 0.0, kind=float)
+    tf, dt = (_get(cfg, name, required=True, kind=float) for name in ("tf", "dt"))
+    kind = _get(cfg, "initial.kind", "fixed")
+    if kind == "fixed":
+        v0 = _get(cfg, "initial.v0", np.zeros(model.dim), kind=_array(1))
+        sampler, cov0 = fixed_initial(v0), np.zeros((model.dim, model.dim))
+    elif kind == "gaussian":
+        v0 = _get(cfg, "initial.mean", required=True, kind=_array(1))
+        cov0 = _get(cfg, "initial.cov", required=True, kind=_array(2))
+        sampler = gaussian_initial(v0, cov0)
+    else:
+        raise ConfigError("config field initial.kind must be fixed or gaussian")
+    traj = simulate_trajectory(model, program, None, v0, t0, tf, dt, seed)
+    traj.to_csv(out / "trajectory.csv")
+    summary = simulate_ensemble(model, program, None, sampler, t0, tf, dt,
+                                _get(cfg, "n_traj", 1, kind=int), seed)
+    summary.to_json(out / "moments.json")
+    oracle = propagate_moments(model, program, v0, cov0, t0, tf, dt)
+    _write_json(out / "oracle_moments.json", {
+        "times": [m.t for m in oracle], "mean": [m.mean.tolist() for m in oracle],
+        "cov": [m.cov.tolist() for m in oracle]})
+    return ["trajectory.csv", "moments.json", "oracle_moments.json"]
 
 
-@main.command("sample-diffusion")
-@_common
-def sample_diffusion(config, output_dir, seed):
+@_subcommand("sample-diffusion")
+def sample_diffusion(cfg, out):
     """Reverse-diffusion sampling with an analytic or checkpointed score."""
+    dim, T = _get(cfg, "dim", 1, kind=int), _get(cfg, "T", 1.0, kind=float)
+    kind = _get(cfg, "kind", "vp")
+    if kind == "vp":
+        sched = VPSchedule(_get(cfg, "beta", 2.0, kind=float), T=T)
+        spec = DiffusionSpec("vp", dim, T, schedule=sched)
+    elif kind == "ve":
+        spec = DiffusionSpec("ve", dim, T, c0=_get(cfg, "c0", 1.0, kind=float))
+    else:
+        raise ConfigError("config field kind must be vp or ve")
+    score_kind = _get(cfg, "score.kind", required=True)
+    if score_kind == "checkpoint":
+        score = _from_file(cfg, "score.path",
+                           lambda text: ScoreNetworkDemon.from_dict(json.loads(text)))
+    elif score_kind == "analytic_gaussian":
+        data = Gaussian(_get(cfg, "score.mean", required=True, kind=_array(1)),
+                        _get(cfg, "score.cov", required=True, kind=_array(2)))
 
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        dim = int(_get(cfg, "dim", 1))
-        T = float(_get(cfg, "T", 1.0))
-        kind = _get(cfg, "kind", "vp")
-        if kind == "vp":
-            sched = VPSchedule(float(_get(cfg, "beta", 2.0)), T=T)
-            spec = DiffusionSpec("vp", dim, T, schedule=sched)
-        else:
-            spec = DiffusionSpec("ve", dim, T, c0=float(_get(cfg, "c0", 1.0)))
-        score_cfg = _get(cfg, "score", required=True)
-        if score_cfg.get("kind") == "checkpoint":
-            score = ScoreNetworkDemon.load(score_cfg["path"])
-        elif score_cfg.get("kind") == "analytic_gaussian":
-            data = Gaussian(score_cfg["mean"], score_cfg["cov"])
+        def score_fn(X, t):
+            a, var = spec.kernel(t)
+            return Gaussian(a * data.mean, a * a * data.cov + var * np.eye(dim)).score(X)
 
-            def score_fn(X, t):
-                a, var = spec.kernel(t)
-                return Gaussian(a * data.mean, a * a * data.cov + var * np.eye(dim)).score(X)
-
-            score = AnalyticScoreDemon(score_fn, dim, batched=True)
-        else:
-            raise ConfigError("config field score.kind must be checkpoint or analytic_gaussian")
-        samples = diffusion_reverse(spec, score, int(_get(cfg, "n_samples", 1000)),
-                                    float(_get(cfg, "dt", 1e-2)), cfg["seed"])
-        _write_chain_csv(out / "samples.csv", samples)
-        _write_json(out / "metrics.json", _chain_metrics(samples))
-        _write_manifest(out, cfg, ["samples.csv", "metrics.json"])
-
-    _run(body)
+        score = AnalyticScoreDemon(score_fn, dim, batched=True)
+    else:
+        raise ConfigError("config field score.kind must be checkpoint or analytic_gaussian")
+    samples = diffusion_reverse(spec, score, _get(cfg, "n_samples", 1000, kind=int),
+                                _get(cfg, "dt", 1e-2, kind=float), _get(cfg, "seed"))
+    return _write_samples(out, "samples.csv", samples)
 
 
-@main.command()
-@_common
-def sghmc(config, output_dir, seed):
+@_subcommand()
+def sghmc(cfg, out):
     """Underdamped Langevin (SGHMC) chain over a catalog target."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        target = _build_target(cfg)
-        chain = sghmc_sample(
-            target,
-            mass=_get(cfg, "mass"), friction=_get(cfg, "friction"),
-            n_steps=int(_get(cfg, "n_steps", 10000)),
-            dt=float(_get(cfg, "dt", 1e-2)), seed=cfg["seed"],
-            x0=_get(cfg, "x0"), burn_in=float(_get(cfg, "burn_in", 0.2)))
-        _write_chain_csv(out / "chain.csv", chain)
-        _write_json(out / "metrics.json", _chain_metrics(chain))
-        _write_manifest(out, cfg, ["chain.csv", "metrics.json"])
-
-    _run(body)
+    chain = sghmc_sample(
+        _build_target(cfg),
+        mass=_get(cfg, "mass", kind=_array(2)), friction=_get(cfg, "friction", kind=_array(2)),
+        n_steps=_get(cfg, "n_steps", 10000, kind=int),
+        dt=_get(cfg, "dt", 1e-2, kind=float), seed=_get(cfg, "seed"),
+        x0=_get(cfg, "x0", kind=_array(1)), burn_in=_get(cfg, "burn_in", 0.2, kind=float))
+    return _write_samples(out, "chain.csv", chain)
 
 
-@main.command()
-@_common
-def sgld(config, output_dir, seed):
+@_subcommand()
+def sgld(cfg, out):
     """Overdamped Langevin (SGLD) chain over a catalog target."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        target = _build_target(cfg)
-        chain = sgld_sample(
-            target, step_sizes=float(_get(cfg, "step_size", 1e-2)),
-            n_steps=int(_get(cfg, "n_steps", 10000)), seed=cfg["seed"],
-            x0=_get(cfg, "x0"), burn_in=float(_get(cfg, "burn_in", 0.2)))
-        _write_chain_csv(out / "chain.csv", chain)
-        _write_json(out / "metrics.json", _chain_metrics(chain))
-        _write_manifest(out, cfg, ["chain.csv", "metrics.json"])
-
-    _run(body)
+    chain = sgld_sample(
+        _build_target(cfg), step_sizes=_get(cfg, "step_size", 1e-2, kind=float),
+        n_steps=_get(cfg, "n_steps", 10000, kind=int), seed=_get(cfg, "seed"),
+        x0=_get(cfg, "x0", kind=_array(1)), burn_in=_get(cfg, "burn_in", 0.2, kind=float))
+    return _write_samples(out, "chain.csv", chain)
 
 
-@main.command()
-@_common
-def hmc(config, output_dir, seed):
+@_subcommand()
+def hmc(cfg, out):
     """Reference Hamiltonian Monte Carlo chain with acceptance tracking."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        target = _build_target(cfg)
-        chain, accept = hmc_sample(
-            target, mass=_get(cfg, "mass"),
-            n_leapfrog=int(_get(cfg, "n_leapfrog", 10)),
-            step=float(_get(cfg, "step", 0.1)),
-            n_iter=int(_get(cfg, "n_iter", 1000)), seed=cfg["seed"],
-            x0=_get(cfg, "x0"), burn_in=float(_get(cfg, "burn_in", 0.2)))
-        metrics = _chain_metrics(chain)
-        metrics["acceptance_rate"] = accept
-        _write_chain_csv(out / "chain.csv", chain)
-        _write_json(out / "metrics.json", metrics)
-        _write_manifest(out, cfg, ["chain.csv", "metrics.json"])
-
-    _run(body)
+    chain, accept = hmc_sample(
+        _build_target(cfg), mass=_get(cfg, "mass", kind=_array(2)),
+        n_leapfrog=_get(cfg, "n_leapfrog", 10, kind=int),
+        step=_get(cfg, "step", 0.1, kind=float),
+        n_iter=_get(cfg, "n_iter", 1000, kind=int), seed=_get(cfg, "seed"),
+        x0=_get(cfg, "x0", kind=_array(1)), burn_in=_get(cfg, "burn_in", 0.2, kind=float))
+    return _write_samples(out, "chain.csv", chain, acceptance_rate=accept)
 
 
-@main.command("anneal")
-@_common
-def anneal_cmd(config, output_dir, seed):
+@_subcommand("anneal")
+def anneal_cmd(cfg, out):
     """SDE annealing over a catalog loss; records best point and chain."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        target = _build_target(cfg, field="loss")
-        best, chain = anneal(
-            target, S=_get(cfg, "S"),
-            n_steps=int(_get(cfg, "n_steps", 20000)),
-            dt=float(_get(cfg, "dt", 1e-2)), seed=cfg["seed"],
-            lam=float(_get(cfg, "lambda", 1.0)), x0=_get(cfg, "x0"))
-        metrics = _chain_metrics(chain)
-        metrics["best_x"] = best.tolist()
-        metrics["best_loss"] = target.U(best)
-        _write_chain_csv(out / "chain.csv", chain)
-        _write_json(out / "metrics.json", metrics)
-        _write_manifest(out, cfg, ["chain.csv", "metrics.json"])
-
-    _run(body)
+    target = _build_target(cfg, field="loss")
+    best, chain = anneal(
+        target, S=_get(cfg, "S", kind=_array(2)),
+        n_steps=_get(cfg, "n_steps", 20000, kind=int),
+        dt=_get(cfg, "dt", 1e-2, kind=float), seed=_get(cfg, "seed"),
+        lam=_get(cfg, "lambda", 1.0, kind=float), x0=_get(cfg, "x0", kind=_array(1)))
+    return _write_samples(out, "chain.csv", chain,
+                          best_x=best.tolist(), best_loss=target.U(best))
 
 
-@main.command()
-@_common
-def sbit(config, output_dir, seed):
+@_subcommand()
+def sbit(cfg, out):
     """Sample a single s-bit CTMC trajectory with constant flip rates."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        T = float(_get(cfg, "T", required=True))
-        lam0 = RateSchedule.constant(float(_get(cfg, "lambda0", required=True)))
-        lam1 = RateSchedule.constant(float(_get(cfg, "lambda1", required=True)))
-        traj = sample_sbit_trajectory(lam0, lam1, int(_get(cfg, "x0", 0)), T, cfg["seed"])
-        traj.to_csv(out / "trajectory.csv")
-        grid = np.linspace(0.0, T, 1001)
-        occupancy = float(np.mean([traj.state_at(t)[0] for t in grid]))
-        _write_json(out / "metrics.json", {
-            "n_flips": len(traj.jumps), "occupancy_1": occupancy})
-        _write_manifest(out, cfg, ["trajectory.csv", "metrics.json"])
-
-    _run(body)
+    T = _get(cfg, "T", required=True, kind=float)
+    lam0, lam1 = (RateSchedule.constant(_get(cfg, name, required=True, kind=float))
+                  for name in ("lambda0", "lambda1"))
+    traj = sample_sbit_trajectory(lam0, lam1, _get(cfg, "x0", 0, kind=int), T,
+                                  _get(cfg, "seed"))
+    traj.to_csv(out / "trajectory.csv")
+    grid = np.linspace(0.0, T, 1001)
+    occupancy = float(np.mean([traj.state_at(t)[0] for t in grid]))
+    _write_json(out / "metrics.json", {"n_flips": len(traj.jumps), "occupancy_1": occupancy})
+    return ["trajectory.csv", "metrics.json"]
 
 
-@main.command("compile-circuit")
-@_common
-def compile_circuit(config, output_dir, seed):
+@_subcommand("compile-circuit")
+def compile_circuit(cfg, out):
     """Compile a noisy-RC netlist and print the drift/diffusion matrices."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        if _get(cfg, "netlist") is not None:
-            net = RCNetlist.from_json(Path(cfg["netlist"]).read_text())
-            model = compile_network(net)
-        elif _get(cfg, "cell") is not None:
-            c = cfg["cell"]
-            model = compile_rc_cell(float(c["R"]), float(c["C"]), float(c["T"]))
-        else:
-            raise ConfigError("missing config field: netlist (or cell)")
-        for name, M in (("A0", model.A0), ("C0", model.C0)):
-            click.echo(name)
-            for row in M:
-                click.echo(",".join(repr(float(x)) for x in row))
-            _write_chain_csv(out / f"{name}.csv", M,
-                             header=[f"c{j + 1}" for j in range(model.dim)])
-        _write_manifest(out, cfg, ["A0.csv", "C0.csv"])
-
-    _run(body)
+    if _get(cfg, "netlist") is not None:
+        model = compile_network(_from_file(cfg, "netlist", RCNetlist.from_json))
+    elif _get(cfg, "cell") is not None:
+        model = compile_rc_cell(*(_get(cfg, f"cell.{name}", required=True, kind=float)
+                                  for name in "RCT"))
+    else:
+        raise ConfigError("missing config field: netlist (or cell)")
+    for name, M in (("A0", model.A0), ("C0", model.C0)):
+        click.echo(name)
+        for row in M:
+            click.echo(",".join(repr(float(x)) for x in row))
+        _write_chain_csv(out / f"{name}.csv", M,
+                         header=[f"c{j + 1}" for j in range(model.dim)])
+    return ["A0.csv", "C0.csv"]
 
 
-@main.command("train-demon")
-@_common
-def train_demon_cmd(config, output_dir, seed):
+@_subcommand("train-demon")
+def train_demon_cmd(cfg, out):
     """Train a score-network demon by denoising score matching."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        data_cfg = _get(cfg, "data", required=True)
-        if data_cfg.get("kind") != "gaussian":
-            raise ConfigError("config field data.kind must be gaussian")
-        data = Gaussian(data_cfg["mean"], data_cfg["cov"])
-        sched = VPSchedule(float(_get(cfg, "beta", 2.0)), T=float(_get(cfg, "T", 1.0)))
-        tc = TrainConfig(
-            mode=_get(cfg, "train.mode", "ex_situ"),
-            optimizer=_get(cfg, "train.optimizer", "adam"),
-            learning_rate=float(_get(cfg, "train.learning_rate", 1e-3)),
-            batch_size=int(_get(cfg, "train.batch_size", 64)),
-            steps=int(_get(cfg, "train.steps", 500)), seed=cfg["seed"])
-        demon = ScoreNetworkDemon(data.dim, seed=cfg["seed"])
-        env = _build_model(cfg) if tc.mode == "in_situ" else None
-        objective = kernel_dsm_objective(lambda rng, n: data.sample(rng, n),
-                                         sched, tc.batch_size, env_model=env)
-        demon, history = train_demon(demon, objective, tc)
-        demon.save(out / "demon.json")
-        loss_history_to_csv(history, out / "loss.csv")
-        _write_manifest(out, cfg, ["demon.json", "loss.csv"])
-
-    _run(body)
+    if _get(cfg, "data.kind", required=True) != "gaussian":
+        raise ConfigError("config field data.kind must be gaussian")
+    data = Gaussian(_get(cfg, "data.mean", required=True, kind=_array(1)),
+                    _get(cfg, "data.cov", required=True, kind=_array(2)))
+    sched = VPSchedule(_get(cfg, "beta", 2.0, kind=float), T=_get(cfg, "T", 1.0, kind=float))
+    mode = _get(cfg, "train.mode", "ex_situ")
+    if mode not in ("ex_situ", "in_situ"):
+        raise ConfigError("config field train.mode must be ex_situ or in_situ")
+    seed = _get(cfg, "seed")
+    tc = TrainConfig(
+        optimizer=_get(cfg, "train.optimizer", "adam"),
+        learning_rate=_get(cfg, "train.learning_rate", 1e-3, kind=float),
+        batch_size=_get(cfg, "train.batch_size", 64, kind=int),
+        steps=_get(cfg, "train.steps", 500, kind=int), seed=seed)
+    demon = ScoreNetworkDemon(data.dim, seed=seed)
+    env = _build_model(cfg) if mode == "in_situ" else None
+    objective = kernel_dsm_objective(lambda rng, n: data.sample(rng, n),
+                                     sched, tc.batch_size, env_model=env)
+    demon, history = train_demon(demon, objective, tc)
+    demon.save(out / "demon.json")
+    loss_history_to_csv(history, out / "loss.csv")
+    return ["demon.json", "loss.csv"]
 
 
-@main.command("nsde-rollout")
-@_common
-def nsde_rollout(config, output_dir, seed):
+@_subcommand("nsde-rollout")
+def nsde_rollout(cfg, out):
     """Prior rollout of the hidden/weight coupled neural SDE."""
+    hidden = _get(cfg, "hidden_dim", required=True, kind=int)
+    drift = _get(cfg, "weight_drift", "ou")
+    if drift not in ("ou", "zero"):
+        raise ConfigError("config field weight_drift must be ou or zero")
 
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        hidden = int(_get(cfg, "hidden_dim", required=True))
-        weight_dim = hidden * hidden
+    def f_h(t, H, w):
+        return np.tanh(H @ w.reshape(hidden, hidden).T)
 
-        def f_h(t, H, w):
-            return np.tanh(H @ w.reshape(hidden, hidden).T)
-
-        drift = _get(cfg, "weight_drift", "ou")
-        if drift == "ou":
-            f_w = lambda t, w: -w
-        elif drift == "zero":
-            f_w = None
-        else:
-            raise ConfigError("config field weight_drift must be ou or zero")
-        spec = NSDESpec(hidden, weight_dim, f_h, f_w=f_w,
-                        sigma=float(_get(cfg, "sigma", 0.1)))
-        inputs = np.asarray(_get(cfg, "inputs", required=True), dtype=float)
-        times, H, W = weight_diffuser_rollout(
-            spec, "prior", inputs, float(_get(cfg, "T", 1.0)),
-            float(_get(cfg, "dt", 1e-2)), cfg["seed"],
-            w0=_get(cfg, "w0"))
-        _write_chain_csv(out / "weights.csv", W)
-        _write_chain_csv(out / "hidden_final.csv", H[-1])
-        _write_manifest(out, cfg, ["weights.csv", "hidden_final.csv"])
-
-    _run(body)
+    spec = NSDESpec(hidden, hidden * hidden, f_h,
+                    f_w=(lambda t, w: -w) if drift == "ou" else None,
+                    sigma=_get(cfg, "sigma", 0.1, kind=float))
+    times, H, W = weight_diffuser_rollout(
+        spec, "prior", _get(cfg, "inputs", required=True, kind=_array(2)),
+        _get(cfg, "T", 1.0, kind=float), _get(cfg, "dt", 1e-2, kind=float),
+        _get(cfg, "seed"), w0=_get(cfg, "w0", kind=_array(1)))
+    _write_chain_csv(out / "weights.csv", W)
+    _write_chain_csv(out / "hidden_final.csv", H[-1])
+    return ["weights.csv", "hidden_final.csv"]
 
 
-@main.command("latent-rollout")
-@_common
-def latent_rollout(config, output_dir, seed):
+@_subcommand("latent-rollout")
+def latent_rollout(cfg, out):
     """Latent-SDE rollout read out at the configured checkpoint times."""
-
-    def body():
-        cfg, out = _resolve(_load_config(config), output_dir, seed)
-        model = _build_model(cfg)
-        program = None
-        if _get(cfg, "program") is not None:
-            program = program_from_json(Path(cfg["program"]).read_text())
-        times, readouts = latent_sde_rollout(
-            model, program, None, np.asarray(_get(cfg, "h0", required=True), dtype=float),
-            _get(cfg, "checkpoints", required=True),
-            t0=float(_get(cfg, "t0", 0.0)), dt=float(_get(cfg, "dt", 1e-2)),
-            seed=cfg["seed"])
-        _write_chain_csv(out / "readouts.csv",
-                         np.column_stack([times, readouts]),
-                         header=["t"] + [f"h{j + 1}" for j in range(model.dim)])
-        _write_manifest(out, cfg, ["readouts.csv"])
-
-    _run(body)
+    model = _build_model(cfg)
+    times, readouts = latent_sde_rollout(
+        model, _from_file(cfg, "program", program_from_json, required=False), None,
+        _get(cfg, "h0", required=True, kind=_array(1)),
+        _get(cfg, "checkpoints", required=True, kind=_array(1)),
+        t0=_get(cfg, "t0", 0.0, kind=float), dt=_get(cfg, "dt", 1e-2, kind=float),
+        seed=_get(cfg, "seed"))
+    _write_chain_csv(out / "readouts.csv", np.column_stack([times, readouts]),
+                     header=["t"] + [f"h{j + 1}" for j in range(model.dim)])
+    return ["readouts.csv"]
 
 
 if __name__ == "__main__":

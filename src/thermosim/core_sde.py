@@ -318,8 +318,10 @@ def fixed_initial(v0):
 def gaussian_initial(mean, cov):
     """Initial sampler drawing from N(mean, cov)."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    chol = np.linalg.cholesky(cov)
+    try:
+        chol = np.linalg.cholesky(np.atleast_2d(np.asarray(cov, dtype=float)))
+    except np.linalg.LinAlgError as exc:
+        raise ContractViolationError("initial covariance must be SPD") from exc
 
     def sampler(rng):
         return mean + chol @ rng.standard_normal(mean.size)

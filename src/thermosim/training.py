@@ -15,7 +15,6 @@ from .mlp import SGD, Adam
 
 @dataclass(frozen=True)
 class TrainConfig:
-    mode: str = "ex_situ"  # "ex_situ" | "in_situ"
     optimizer: str = "adam"  # "sgd" | "adam"
     learning_rate: float = 1e-3
     batch_size: int = 64
@@ -23,8 +22,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("ex_situ", "in_situ"):
-            raise ContractViolationError(f"unknown training mode {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ContractViolationError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0:

@@ -97,6 +97,48 @@ class TestSimulate:
                 != artifact_hashes(out2)["trajectory.csv"])
 
 
+class TestExitCodes:
+    """Exit 2 names the config field at fault; any other library fault exits
+    1 with one line naming its type (exit 3 is tested per subcommand)."""
+
+    def run_simulate(self, tmp_path, **changes):
+        cfg = {**TestSimulate().cfg(), **changes, "output_dir": str(tmp_path / "o")}
+        return run_cli(["simulate", write_config(tmp_path, "c.yaml", cfg)])
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"tf": "abc"}, "tf"),
+        ({"initial": "oops"}, "initial"),
+        ({"model": {"A0": [[-1.0, 0.0], [0.0]], "b0": [0.0, 0.0],
+                    "C0": [[1.0, 0.0], [0.0, 1.0]]}}, "model.A0"),
+    ])
+    def test_bad_field_exit_2_names_field(self, tmp_path, changes, field):
+        result = self.run_simulate(tmp_path, **changes)
+        assert result.exit_code == 2
+        assert f"config field {field}" in result.output
+
+    def test_singular_covariance_exit_2(self, tmp_path):
+        result = self.run_simulate(tmp_path, initial={"kind": "gaussian", "mean": [0.0],
+                                                      "cov": [[0.0]]})
+        assert result.exit_code == 2
+        assert "SPD" in result.output
+        cfg = {"seed": 0, "target": {"kind": "gaussian", "mean": [0.0], "cov": [[0.0]]},
+               "n_iter": 5, "output_dir": str(tmp_path / "h")}
+        result = run_cli(["hmc", write_config(tmp_path, "h.yaml", cfg)])
+        assert result.exit_code == 2
+        assert "SPD" in result.output
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"), KeyError("x")])
+    def test_library_fault_exit_1_names_type(self, tmp_path, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate_ensemble", broken)
+        result = self.run_simulate(tmp_path)
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"error: {type(exc).__name__}: {exc}"]
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 class TestSamplers:
     def test_sghmc(self, tmp_path):
         cfg = {"seed": 3, "target": {"kind": "gaussian", "mean": [0.0],
@@ -227,6 +269,13 @@ class TestTrainDemon:
                  "output_dir": str(tmp_path / "samp")}
         path = write_config(tmp_path, "s.yaml", s_cfg)
         assert run_cli(["sample-diffusion", path]).exit_code == 0
+
+    def test_unknown_mode_exit_2(self, tmp_path):
+        cfg = {"seed": 1, "data": {"kind": "gaussian", "mean": [2.0], "cov": [[0.25]]},
+               "train": {"mode": "nope", "steps": 3}, "output_dir": str(tmp_path / "o")}
+        result = run_cli(["train-demon", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 2
+        assert "train.mode" in result.output
 
 
 class TestRollouts:

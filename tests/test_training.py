@@ -246,8 +246,6 @@ class TestTrainDemon:
 class TestTrainConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ContractViolationError):
-            TrainConfig(mode="nope")
-        with pytest.raises(ContractViolationError):
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ContractViolationError):
             TrainConfig(steps=0)
