@@ -351,13 +351,28 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
         initial_sampler = fixed_initial(np.zeros(n))
     step_times, dts = t0 + dt * np.arange(n_steps), np.full(n_steps, dt)
     props = _propagators(model, program, step_times, dts)
-    sum_v = np.zeros((n_steps + 1, n))
-    sum_vv = np.zeros((n_steps + 1, n, n))
+    # Sums run over deviations from a shift, trajectory 0's own state, which
+    # chunk 0 records at each grid index before summing there; so moments do
+    # not cancel when the mean is large against the spread, whatever chunk_size.
+    shift = np.empty((n_steps + 1, n))
+    sum_d = np.zeros((n_steps + 1, n))
+    sum_dd = np.zeros((n_steps + 1, n, n))
+    work = np.empty(0)
     finals = np.empty((n_traj, n)) if keep_final else None
 
     def accumulate(k, X):
-        sum_v[k:k + len(X)] += np.matmul(np.ones(X.shape[1]), X)
-        sum_vv[k:k + len(X)] += np.matmul(X.transpose(0, 2, 1), X)
+        nonlocal work
+        s, m = X.shape[:2]
+        if start == 0:
+            shift[k:k + s] = X[:, 0]
+        if work.size < X.size:
+            work = np.empty(X.size)
+        # Deviations as (s, N, m): each component's row is contiguous, so the
+        # subtraction runs long inner loops and the sums are plain products.
+        D = np.subtract(X.transpose(0, 2, 1), shift[k:k + s, :, None],
+                        out=work[:X.size].reshape(s, n, m))
+        sum_d[k:k + s] += np.matmul(D, np.ones(m))
+        sum_dd[k:k + s] += np.matmul(D, D.transpose(0, 2, 1))
 
     for start in range(0, n_traj, chunk_size):
         stop = min(start + chunk_size, n_traj)
@@ -368,9 +383,10 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
 
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = tf
-    means = sum_v / n_traj
+    d = sum_d / n_traj
+    means = shift + d
     if n_traj > 1:
-        covs = (sum_vv - n_traj * np.einsum("ti,tj->tij", means, means)) / (n_traj - 1)
+        covs = (sum_dd - n_traj * np.einsum("ti,tj->tij", d, d)) / (n_traj - 1)
         covs = (covs + np.transpose(covs, (0, 2, 1))) / 2
     else:
         covs = np.zeros((n_steps + 1, n, n))

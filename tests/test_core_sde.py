@@ -131,6 +131,18 @@ class TestSimulateEnsemble:
                               base_seed=1, chunk_size=1000)
         np.testing.assert_allclose(a.means, b.means, atol=1e-12)
 
+    @pytest.mark.parametrize("chunk_size", [4096, 1000])
+    def test_moments_do_not_cancel_at_large_mean(self, chunk_size):
+        """A spread of 1e-2 about 1e6: the one-pass sums lost 20% of the
+        variance and went negative on the grid; the shifted sums do not."""
+        m = SDEModel(A0=[[0.0]], b0=[0.0], C0=[[0.01]])
+        s = simulate_ensemble(m, initial_sampler=fixed_initial([1e6]), tf=1.0, dt=1e-2,
+                              n_traj=4000, base_seed=3, chunk_size=chunk_size,
+                              keep_final=True)
+        np.testing.assert_allclose(s.covs[-1, 0, 0], np.var(s.final_states[:, 0], ddof=1),
+                                   rtol=1e-6)
+        assert s.covs[:, 0, 0].min() >= 0.0
+
     def test_divergence_names_trajectory(self):
         m = SDEModel(A0=[[50.0]], b0=[0.0], C0=[[0.0]])
         with pytest.raises(DivergenceError, match="trajectory"):
