@@ -129,14 +129,38 @@ def mixture_target(weights, means, covs) -> TargetDistribution:
 
 
 def double_well_target(dim=1) -> TargetDistribution:
+    if dim < 1:
+        raise ContractViolationError("dimension must be at least 1")
     return TargetDistribution("double_well", dim, DoubleWellPotential())
 
 
 # ----------------------------------------------------------------- samplers
 
 def _burn(chain, burn_in):
-    k = int(len(chain) * burn_in)
-    return chain[k:]
+    if not 0 <= burn_in < 1:
+        raise ContractViolationError("burn_in must lie in [0, 1)")
+    return chain[int(len(chain) * burn_in):]
+
+
+def _start(v, n, name="x0"):
+    """A chain's starting vector: zeros if v is None, else v as a finite
+    length-n float vector."""
+    v = np.zeros(n) if v is None else np.asarray(v, dtype=float).reshape(-1)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ContractViolationError(f"{name} must be finite, of length {n}")
+    return v
+
+
+def _spd(X, n, name):
+    """The n x n symmetric positive-definite matrix X; the identity if X is None."""
+    X = np.eye(n) if X is None else np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape != (n, n) or np.max(np.abs(X - X.T)) > 1e-10:
+        raise ContractViolationError(f"{name} matrix must be symmetric {n}x{n}")
+    try:
+        np.linalg.cholesky(X)
+    except np.linalg.LinAlgError as exc:
+        raise ContractViolationError(f"{name} matrix must be SPD") from exc
+    return X
 
 
 def _row_products(L, z, scale):
@@ -171,20 +195,11 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
     'stochastic' gradient mode injects N(0, V) noise onto grad U.
     """
     n = target.dim
-    M = np.eye(n) if mass is None else np.atleast_2d(np.asarray(mass, dtype=float))
-    B = np.eye(n) if friction is None else np.atleast_2d(np.asarray(friction, dtype=float))
-    for name, X in (("mass", M), ("friction", B)):
-        if np.max(np.abs(X - X.T)) > 1e-10:
-            raise ContractViolationError(f"{name} matrix must be symmetric")
-        try:
-            np.linalg.cholesky(X)
-        except np.linalg.LinAlgError as exc:
-            raise ContractViolationError(f"{name} matrix must be SPD") from exc
+    M, B = _spd(mass, n, "mass"), _spd(friction, n, "friction")
     noise_chol = np.linalg.cholesky(2.0 * B)
     Minv = np.linalg.inv(M)
     rng = trajectory_rng(seed, 0)
-    demon = ForceDemon(target.potential, mass=M,
-                       x0=np.zeros(n) if x0 is None else x0)
+    demon = ForceDemon(target.potential, mass=M, x0=_start(x0, n))
     demon.reset()
     if gradient_noise == "stochastic":
         V = np.atleast_2d(np.asarray(noise_cov, dtype=float))
@@ -223,7 +238,7 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
     of the step index; it must be positive and nonincreasing."""
     n = target.dim
     rng = trajectory_rng(seed, 0)
-    theta = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    theta = _start(x0, n)
     eps_fn = step_sizes if callable(step_sizes) else (lambda k: float(step_sizes))
     eps = np.array([eps_fn(k) for k in range(n_steps)], dtype=float)
     if not (eps > 0).all() or (eps[1:] > eps[:-1] + 1e-15).any():
@@ -281,13 +296,12 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
     one value call.  Returns (chain, acceptance rate)."""
     if n_leapfrog < 1:
         raise ContractViolationError("need at least one leapfrog step")
-    if step <= 0:
+    if not step > 0:
         raise ContractViolationError("step must be positive")
+    if n_iter < 1:
+        raise ContractViolationError("need at least one iteration")
     n = target.dim
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ContractViolationError("x0 must be finite")
-    M = np.eye(n) if mass is None else np.atleast_2d(np.asarray(mass, dtype=float))
+    x, M = _start(x0, n), _spd(mass, n, "mass")
     Minv = np.linalg.inv(M)
     chol = np.linalg.cholesky(M)
     rng = trajectory_rng(seed, 0)
@@ -332,8 +346,7 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
         raise ContractViolationError("S must be finite")
     D = S @ S.T
     rng = trajectory_rng(seed, 0)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).reshape(-1)
+    x, p = _start(x0, n), _start(p0, n, "p0")
     best_x, best_val = x.copy(), lam * loss.U(x)
     chain = np.empty((n_steps, n))
     half_D = 0.5 * D
@@ -381,7 +394,7 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
     H = np.atleast_2d(np.asarray(input_batch, dtype=float)).copy()
     if H.shape[1] != spec.hidden_dim:
         raise ContractViolationError("input batch width must equal hidden_dim")
-    w = np.zeros(spec.weight_dim) if w0 is None else np.asarray(w0, dtype=float).reshape(-1)
+    w = _start(w0, spec.weight_dim, "w0")
     n_steps = _grid(0.0, T, dt)
     rng = trajectory_rng(seed, 0)
     Hs = np.empty((n_steps + 1,) + H.shape)
@@ -410,6 +423,8 @@ def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,
     times; the step is shrunk per segment so every checkpoint lands on the
     grid exactly.  The path is trajectory 0 of trajectory_rng(seed, 0) in
     the ensemble stepper, with its divergence check."""
+    if not dt > 0:
+        raise ContractViolationError("dt must be positive")
     checkpoints = [float(t) for t in checkpoint_times]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ContractViolationError("checkpoint times must be increasing")

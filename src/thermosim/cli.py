@@ -58,8 +58,10 @@ def _load_config(path):
 
 def _get(cfg, path, default=None, required=False, kind=None):
     """Walk a dotted field path and convert its value with ``kind``.  A null
-    value counts as missing.  A missing required field, a non-mapping on the
-    path and a value that ``kind`` rejects raise ConfigError naming the path."""
+    value counts as missing; converted values must be finite, and ``int``
+    fields (counts and states) nonnegative integers.  A missing required
+    field, a non-mapping on the path and a rejected value raise ConfigError
+    naming the path."""
     node, keys = cfg, path.split(".")
     for i, key in enumerate(keys):
         if not isinstance(node, dict):
@@ -72,9 +74,14 @@ def _get(cfg, path, default=None, required=False, kind=None):
     if kind is None:
         return node
     try:
-        return kind(node)
+        value = kind(node)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {path}: {exc}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"config field {path} must be finite")
+    if kind is int and (value < 0 or value != node):
+        raise ConfigError(f"config field {path} must be a nonnegative integer")
+    return value
 
 
 def _array(rank):
@@ -109,7 +116,7 @@ def _resolve(cfg, output_dir, seed):
         cfg["seed"] = seed
     if "seed" not in cfg:
         raise ConfigError("missing config field: seed (wall-clock seeding is not allowed)")
-    if not isinstance(cfg["seed"], int):
+    if type(cfg["seed"]) is not int:  # bool is an int subclass
         raise ConfigError("config field seed must be an integer")
     out = Path(cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -157,6 +164,8 @@ def _write_samples(out, name, chain, **metrics):
     """Write a chain as CSV ``name`` plus metrics.json (sample count, mean,
     covariance and ``metrics``); return both artifact names."""
     chain = np.atleast_2d(np.asarray(chain, dtype=float))
+    if len(chain) < 2:
+        raise ConfigError(f"metrics need 2 samples, {len(chain)} left; raise the step count")
     _write_chain_csv(out / name, chain)
     _write_json(out / "metrics.json", dict(
         n_samples=int(chain.shape[0]), mean=np.mean(chain, axis=0).tolist(),
@@ -268,13 +277,8 @@ def sample_diffusion(cfg, out):
     """Reverse-diffusion sampling with an analytic or checkpointed score."""
     dim, T = _get(cfg, "dim", 1, kind=int), _get(cfg, "T", 1.0, kind=float)
     kind = _get(cfg, "kind", "vp")
-    if kind == "vp":
-        sched = VPSchedule(_get(cfg, "beta", 2.0, kind=float), T=T)
-        spec = DiffusionSpec("vp", dim, T, schedule=sched)
-    elif kind == "ve":
-        spec = DiffusionSpec("ve", dim, T, c0=_get(cfg, "c0", 1.0, kind=float))
-    else:
-        raise ConfigError("config field kind must be vp or ve")
+    sched = VPSchedule(_get(cfg, "beta", 2.0, kind=float), T=T) if kind == "vp" else None
+    spec = DiffusionSpec(kind, dim, T, schedule=sched, c0=_get(cfg, "c0", 1.0, kind=float))
     score_kind = _get(cfg, "score.kind", required=True)
     if score_kind == "checkpoint":
         score = _from_file(cfg, "score.path",

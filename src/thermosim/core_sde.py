@@ -59,7 +59,7 @@ class SDEModel:
         if D0 is None:
             D0 = np.eye(n)
         D0 = np.atleast_2d(np.asarray(D0, dtype=float))
-        if A0.shape != (n, n):
+        if n < 1 or A0.shape != (n, n):
             raise ContractViolationError(f"A0 must be square, got {A0.shape}")
         if b0.shape != (n,):
             raise ContractViolationError(f"b0 must have length {n}, got {b0.shape}")
@@ -158,9 +158,9 @@ class EnsembleSummary:
 
 
 def _grid(t0, tf, dt):
-    if tf <= t0:
+    if not tf > t0:
         raise ContractViolationError("tf must exceed t0")
-    if dt <= 0 or dt > tf - t0:
+    if not 0 < dt <= tf - t0:
         raise ContractViolationError("dt must lie in (0, tf - t0]")
     n_steps = int(round((tf - t0) / dt))
     if abs(n_steps * dt - (tf - t0)) > 1e-9 * max(1.0, abs(tf - t0)):

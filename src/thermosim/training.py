@@ -160,13 +160,18 @@ def kernel_dsm_objective(data_sampler, vp_schedule: VPSchedule, batch_size: int,
     t_grid = np.linspace(t_min, T, t_grid_size)
     kernels = [linear_sde_kernel(env_model, t) for t in t_grid]
     Ms = np.stack([M for M, _ in kernels])
-    chols = np.stack([np.linalg.cholesky(Sigma) for _, Sigma in kernels])
+    try:
+        chols = np.stack([np.linalg.cholesky(Sigma) for _, Sigma in kernels])
+    except np.linalg.LinAlgError as exc:
+        raise ContractViolationError("environment kernel covariance must be SPD") from exc
     precs = np.stack([np.linalg.inv(Sigma) for _, Sigma in kernels])
     weights = np.array([np.trace(Sigma) for _, Sigma in kernels])
 
     def objective(demon, rng):
         X0 = np.atleast_2d(data_sampler(rng, batch_size))
         batch, dim = X0.shape
+        if dim != env_model.dim:
+            raise ContractViolationError("data and environment dimensions differ")
         idx = rng.integers(0, t_grid_size, size=batch)
         ts = t_grid[idx]
         Z = rng.standard_normal((batch, dim))

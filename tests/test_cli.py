@@ -127,6 +127,43 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "SPD" in result.output
 
+    GAUSS = {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+    TRAIN = {"seed": 1, "data": {"kind": "gaussian", "mean": [2.0], "cov": [[0.25]]},
+             "train": {"mode": "in_situ", "steps": 2, "batch_size": 4}}
+
+    @pytest.mark.parametrize("command, cfg, words", [
+        ("simulate", {**TestSimulate().cfg(), "dt": float("nan")}, "field dt must be finite"),
+        ("simulate", {**TestSimulate().cfg(), "seed": True}, "seed must be an integer"),
+        ("simulate", {**TestSimulate().cfg(), "n_traj": -1},
+         "field n_traj must be a nonnegative integer"),
+        ("sghmc", {"seed": 0, "target": GAUSS, "n_steps": 1}, "metrics need 2 samples"),
+        ("sgld", {"seed": 0, "target": GAUSS, "n_steps": 5, "burn_in": 2.5},
+         "burn_in must lie in [0, 1)"),
+        ("hmc", {"seed": 0, "target": GAUSS, "n_iter": 5, "mass": [[0.0]]},
+         "mass matrix must be SPD"),
+        ("hmc", {"seed": 0, "target": GAUSS, "n_iter": 5, "x0": [0.0, 0.0]},
+         "x0 must be finite, of length 1"),
+        ("hmc", {"seed": 0, "target": GAUSS, "n_iter": 0}, "at least one iteration"),
+        ("anneal", {"seed": 0, "loss": {"kind": "double_well", "dim": 0}},
+         "dimension must be at least 1"),
+        ("nsde-rollout", {"seed": 0, "hidden_dim": 2, "inputs": [[1.0, 0.0]], "w0": [0.0]},
+         "w0 must be finite, of length 4"),
+        ("latent-rollout", {"seed": 0, "model": {"A0": [[-1.0]], "b0": [0.0], "C0": [[1.0]]},
+                            "h0": [1.0], "checkpoints": [0.5], "dt": 0.0},
+         "dt must be positive"),
+        ("sample-diffusion", {"seed": 0, "kind": "vq", "score": {"kind": "analytic_gaussian",
+                                                                 "mean": [0.0], "cov": [[1.0]]}},
+         "kind must be 'vp' or 've'"),
+        ("train-demon", {**TRAIN, "model": {"vp": {"dim": 2}}}, "dimensions differ"),
+        ("train-demon", {**TRAIN, "model": {"vp": {"beta": 0.0}}},
+         "kernel covariance must be SPD"),
+    ])
+    def test_out_of_range_exit_2(self, tmp_path, command, cfg, words):
+        path = write_config(tmp_path, "c.yaml", {**cfg, "output_dir": str(tmp_path / "o")})
+        result = run_cli([command, path])
+        assert result.exit_code == 2, result.output
+        assert words in result.output
+
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"), KeyError("x")])
     def test_library_fault_exit_1_names_type(self, tmp_path, monkeypatch, exc):
         def broken(*args, **kwargs):
