@@ -329,6 +329,60 @@ class TestRollouts:
         assert set(h) == {"readouts.csv"}
 
 
+class TestGatePrograms:
+    """A program.json that does not fit the 2-dim model, or holds a non-finite
+    generator or a non-boolean compose, is a config error naming what is wrong."""
+
+    MODEL = {"A0": [[-1.0, 0.0], [0.0, -1.0]], "b0": [0.0, 0.0],
+             "C0": [[1.0, 0.0], [0.0, 1.0]]}
+    CONFIGS = {
+        "simulate": {"seed": 1, "model": MODEL, "tf": 1.0, "dt": 0.1, "n_traj": 4,
+                     "initial": {"kind": "fixed", "v0": [1.0, 0.0]}},
+        "latent-rollout": {"seed": 1, "model": MODEL, "h0": [1.0, 0.0],
+                           "checkpoints": [0.5, 1.0], "dt": 0.1},
+    }
+
+    @staticmethod
+    def segment(form, payload, t_start=0.0, t_end=1.0, target="drift_super"):
+        return {"target": target, "t_start": t_start, "t_end": t_end, "form": form,
+                "payload": payload}
+
+    def run(self, tmp_path, command, segments, compose=True):
+        program = tmp_path / "program.json"
+        program.write_text(json.dumps({"segments": segments, "compose": compose}))
+        cfg = {**self.CONFIGS[command], "program": str(program),
+               "output_dir": str(tmp_path / "o")}
+        return run_cli([command, write_config(tmp_path, "c.yaml", cfg)])
+
+    @pytest.mark.parametrize("command", ["simulate", "latent-rollout"])
+    def test_fitting_program_runs(self, tmp_path, command):
+        segments = [self.segment("dense", (-0.1 * np.eye(4)).tolist(), 0.0, 0.5),
+                    self.segment("diagonal", [0.1, 0.0, 0.0, 0.2], 0.5, 1.0),
+                    self.segment("scalar", 0.3, target="drift_vec")]
+        assert self.run(tmp_path, command, segments).exit_code == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "latent-rollout"])
+    @pytest.mark.parametrize("segments, words", [
+        ([segment("dense", np.zeros((2, 2)).tolist())], "drift_super operator has size 2"),
+        ([segment("diagonal", [0.0] * 3)], "drift_super operator has size 3"),
+        ([segment("dense", np.zeros((4, 4)).tolist(), 0.0, 0.5),
+          segment("diagonal", [0.0] * 3, 0.5, 1.0)], "drift_super segments have operator sizes"),
+        ([segment("scalar", float("nan"))], "drift_super scalar generator must be a finite"),
+        ([segment("diagonal", [0.0, float("inf"), 0.0, 0.0], target="diffusion_super")],
+         "diffusion_super diagonal generator must be a finite"),
+    ], ids=["dense", "diagonal", "mixed", "nan", "inf"])
+    def test_misfit_program_exit_2(self, tmp_path, command, segments, words):
+        result = self.run(tmp_path, command, segments)
+        assert result.exit_code == 2, result.output
+        assert words in result.output
+
+    @pytest.mark.parametrize("compose", ["false", {"drift_super": "false"}])
+    def test_non_boolean_compose_exit_2(self, tmp_path, compose):
+        result = self.run(tmp_path, "simulate", [self.segment("scalar", 0.1)], compose)
+        assert result.exit_code == 2, result.output
+        assert "compose must be a bool" in result.output
+
+
 def test_manifest_records_version_and_config(tmp_path):
     import thermosim
     cfg = {"seed": 1, "model": {"vp": {"beta": 2.0, "dim": 1}},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from thermosim import gates
 from thermosim import (ContractViolationError, GateProgram, GateSegment,
                        Generator, SDEModel, Schedule,
                        constant_schedule, discrete_gate_sequence,
@@ -172,8 +173,8 @@ class TestSerialization:
         for t in (0.1, 0.45, 0.9):
             A1, b1, _, _ = prog.coefficients(m, t)
             A2, b2, _, _ = back.coefficients(m, t)
-            np.testing.assert_allclose(A1, A2, rtol=1e-12)
-            np.testing.assert_allclose(b1, b2, rtol=1e-12)
+            np.testing.assert_array_equal(A1, A2)
+            np.testing.assert_array_equal(b1, b2)
 
     def test_round_trip_keeps_per_schedule_compose(self):
         def two_segments(target, compose):
@@ -190,7 +191,7 @@ class TestSerialization:
         m = base_model()
         for t in (0.2, 0.6, 0.9):
             for c1, c2 in zip(prog.coefficients(m, t), back.coefficients(m, t)):
-                np.testing.assert_allclose(c1, c2, rtol=1e-12)
+                np.testing.assert_array_equal(c1, c2)
 
     def test_top_level_compose_flag_still_read(self):
         doc = {"segments": [{"target": t, "t_start": 0.0, "t_end": 1.0, "form": "scalar",
@@ -206,6 +207,105 @@ class TestSerialization:
             1, lambda t: 2.0, "drift_vec", 0.0, 1.0, 2))
         with pytest.raises(ContractViolationError):
             program_to_json(prog)
+
+
+class TestProgramChecks:
+    """Generators, schedules and programs that do not fit are contract
+    violations naming the target, not numpy errors or silent broadcasts."""
+
+    @pytest.mark.parametrize("form, payload", [
+        ("scalar", float("nan")), ("scalar", float("inf")), ("diagonal", [0.1, float("nan")]),
+        ("dense", [[0.0, float("inf")], [0.0, 0.0]]), ("dense", [[0.0, 1.0]]),
+        ("dense", [0.0, 1.0]), ("diagonal", [[0.0, 1.0]]), ("scalar", [0.5]),
+    ])
+    def test_generator_must_be_finite_and_of_its_rank(self, form, payload):
+        with pytest.raises(ContractViolationError, match="drift_super"):
+            Generator("drift_super", form, payload)
+
+    @pytest.mark.parametrize("k, target, size", [
+        (0, "drift_super", 4), (1, "drift_vec", 2), (2, "diffusion_super", 4),
+        (3, "demon_coupling_super", 6)])
+    @pytest.mark.parametrize("form", ["diagonal", "dense"])
+    def test_operator_sized_off_its_base_rejected(self, k, target, size, form):
+        m = SDEModel(A0=-np.eye(2), b0=np.ones(2), C0=np.eye(2), D0=np.ones((2, 3)))
+        for n in (size - 1, size + 1, size):
+            K = np.zeros(n) if form == "diagonal" else np.zeros((n, n))
+            schedules = [None] * 4
+            schedules[k] = Schedule([GateSegment(Generator(target, form, K), 0.0, 1.0)])
+            prog = GateProgram(*schedules)
+            if n == size:
+                np.testing.assert_array_equal(prog.coefficients(m, 0.5)[k],
+                                              m.coefficients(0.5)[k])
+            else:
+                with pytest.raises(ContractViolationError,
+                                   match=f"{target} operator has size {n}"):
+                    prog.coefficients(m, 0.5)
+
+    def test_function_segment_sized_off_the_model_rejected(self):
+        prog = GateProgram(schedule_b=single_smode_gate(1, lambda t: 2.0, "drift_vec",
+                                                        0.0, 1.0, 3))
+        with pytest.raises(ContractViolationError, match="drift_vec operator has size 3"):
+            prog.coefficients(base_model(), 0.5)
+
+    def test_schedule_with_mixed_sizes_rejected(self):
+        with pytest.raises(ContractViolationError, match="drift_super segments"):
+            Schedule([GateSegment(Generator.dense("drift_super", np.zeros((4, 4))), 0.0, 0.5),
+                      GateSegment(Generator.diagonal("drift_super", np.zeros(3)), 0.5, 1.0)])
+        # a multiple of the identity fits every size
+        Schedule([GateSegment(Generator.dense("drift_super", np.zeros((4, 4))), 0.0, 0.5),
+                  GateSegment(Generator.scalar("drift_super", 0.1), 0.5, 1.0)])
+
+    @pytest.mark.parametrize("compose", ["false", 0, None, {"drift_super": "false"},
+                                         {"drift_super": 1}, {"drift_supr": False}])
+    def test_compose_must_be_bools(self, compose):
+        doc = {"segments": [{"target": "drift_super", "t_start": 0.0, "t_end": 1.0,
+                             "form": "scalar", "payload": 0.3}], "compose": compose}
+        with pytest.raises(ContractViolationError, match="compose"):
+            program_from_json(doc)
+
+
+class TestExponentialCount:
+    """Dense exponentials go through the module's `gates.expm`, and only
+    dense generators need one."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+        original = gates.expm
+        monkeypatch.setattr(gates, "expm", lambda A: calls.append(A) or original(A))
+        return calls
+
+    def test_scalar_and_diagonal_programs_make_none(self, expm_calls):
+        prog = GateProgram(
+            schedule_A=discrete_gate_sequence(
+                "drift_super", [Generator.scalar("drift_super", 0.3),
+                                Generator.diagonal("drift_super", [0.1, -0.2, 0.3, 0.0])],
+                0.0, 0.5),
+            schedule_b=single_smode_gate(2, lambda t: 1.0 + t, "drift_vec", 0.0, 1.0, 2),
+            schedule_C=constant_schedule("diffusion_super", lambda t: 2.0 - t, 0.0, 1.0),
+            schedule_D=discrete_gate_sequence(
+                "demon_coupling_super", [Generator.diagonal("demon_coupling_super",
+                                                            [0.1, 0.2, 0.3, 0.4]),
+                                         Generator.scalar("demon_coupling_super", -0.1)],
+                0.0, 0.5, compose=False))
+        m = base_model()
+        for t in np.linspace(0.0, 1.0, 11):
+            prog.coefficients(m, t)
+        assert expm_calls == []
+
+    def test_dense_schedule_makes_one_per_call(self, expm_calls):
+        K = 0.1 * np.arange(16.0).reshape(4, 4)
+        prog = GateProgram(
+            schedule_A=discrete_gate_sequence(
+                "drift_super", [Generator.dense("drift_super", c * K) for c in (1, -1, 0.5)],
+                0.0, 1 / 3),
+            schedule_b=Schedule([GateSegment(Generator.scalar("drift_vec", 0.5), 0.0, 1.0)]))
+        m = base_model()
+        prog.coefficients(m, 0.1)  # also builds the prefixes: one end operator per segment
+        assert len(expm_calls) == 1 + 3
+        for k, t in enumerate((0.2, 0.5, 0.9), start=1):
+            prog.coefficients(m, t)
+            assert len(expm_calls) == 4 + k
 
 
 def test_programmed_simulation_tracks_moment_oracle():
