@@ -182,7 +182,9 @@ def _check_chain(name, chain, step_time):
     bad = ~np.all(np.isfinite(chain), axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise DivergenceError(f"{name} chain diverged at step {k + 1}, t={step_time(k):g}")
+        t = float(step_time(k))
+        raise DivergenceError(f"{name} chain diverged at step {k + 1}, t={t:g}",
+                              step=k + 1, t=t)
 
 
 def sghmc_sample(target: TargetDistribution, mass=None, friction=None,

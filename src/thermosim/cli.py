@@ -250,16 +250,27 @@ def simulate(cfg, out):
     program = _from_file(cfg, "program", program_from_json, required=False)
     seed, t0 = _get(cfg, "seed"), _get(cfg, "t0", 0.0, kind=float)
     tf, dt = (_get(cfg, name, required=True, kind=float) for name in ("tf", "dt"))
+    n = model.dim
     kind = _get(cfg, "initial.kind", "fixed")
-    if kind == "fixed":
-        v0 = _get(cfg, "initial.v0", np.zeros(model.dim), kind=_array(1))
-        sampler, cov0 = fixed_initial(v0), np.zeros((model.dim, model.dim))
-    elif kind == "gaussian":
-        v0 = _get(cfg, "initial.mean", required=True, kind=_array(1))
-        cov0 = _get(cfg, "initial.cov", required=True, kind=_array(2))
-        sampler = gaussian_initial(v0, cov0)
-    else:
+    if kind not in ("fixed", "gaussian"):
         raise ConfigError("config field initial.kind must be fixed or gaussian")
+    # Sizes are checked before any trajectory runs, so a misfit initial state
+    # is a config error that names its field.
+    field = "initial.v0" if kind == "fixed" else "initial.mean"
+    v0 = _get(cfg, field, np.zeros(n), required=kind == "gaussian", kind=_array(1))
+    if v0.shape != (n,):
+        raise ConfigError(f"config field {field} must have length {n}, got {v0.size}")
+    if kind == "fixed":
+        sampler, cov0 = fixed_initial(v0), np.zeros((n, n))
+    else:
+        cov0 = _get(cfg, "initial.cov", required=True, kind=_array(2))
+        if cov0.shape != (n, n):
+            raise ConfigError(f"config field initial.cov must be {n}x{n}, "
+                              f"got shape {cov0.shape}")
+        try:
+            sampler = gaussian_initial(v0, cov0)
+        except ContractViolationError as exc:
+            raise ConfigError(f"config field initial.cov: {exc}") from None
     traj = simulate_trajectory(model, program, None, v0, t0, tf, dt, seed)
     traj.to_csv(out / "trajectory.csv")
     summary = simulate_ensemble(model, program, None, sampler, t0, tf, dt,

@@ -208,7 +208,7 @@ def train_demon(demon, objective, config: TrainConfig):
             raise ContractViolationError("objective must return (loss, gradients)")
         loss, grads = out
         if not np.isfinite(loss):
-            raise DivergenceError(f"training loss diverged at step {step}")
+            raise DivergenceError(f"training loss diverged at step {step}", step=step)
         history.append(loss)
         params = opt.step(params, grads)
         net.set_flat(params)

@@ -172,6 +172,16 @@ class TestSGHMC:
             sghmc_sample(flat, n_steps=2000, dt=3.0, seed=0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_carries_step_and_time(self):
+        flat = TargetDistribution("flat", 1, _ZeroPotential())
+        with pytest.raises(DivergenceError) as info:
+            sghmc_sample(flat, n_steps=2000, dt=3.0, seed=0)
+        err = info.value
+        assert str(err) == f"sghmc chain diverged at step {err.step}, t={err.t:g}"
+        assert err.t == pytest.approx(3.0 * err.step)
+        assert (err.trajectory, err.max_abs) == (None, None)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_force_is_a_divergence(self):
         # The double-well force 4x^3 overflows before the position does.
         with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step \d+, t="):

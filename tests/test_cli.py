@@ -116,6 +116,22 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"config field {field}" in result.output
 
+    @pytest.mark.parametrize("initial, field", [
+        ({"kind": "gaussian", "mean": [0.0, 0.0], "cov": np.eye(3).tolist()}, "initial.cov"),
+        ({"kind": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]},
+         "initial.cov"),
+        ({"kind": "gaussian", "mean": [0.0], "cov": np.eye(2).tolist()}, "initial.mean"),
+        ({"kind": "fixed", "v0": [0.0, 0.0, 0.0]}, "initial.v0"),
+    ])
+    def test_misfit_initial_state_exit_2_before_running(self, tmp_path, initial, field):
+        """On a 2-dim model a 3x3 cov used to exit 1 at the first trajectory,
+        and an asymmetric one exit 2 only after the whole ensemble had run."""
+        result = self.run_simulate(tmp_path, model={"vp": {"beta": 2.0, "dim": 2}},
+                                   initial=initial)
+        assert result.exit_code == 2
+        assert f"config field {field}" in result.output
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
     def test_singular_covariance_exit_2(self, tmp_path):
         result = self.run_simulate(tmp_path, initial={"kind": "gaussian", "mean": [0.0],
                                                       "cov": [[0.0]]})

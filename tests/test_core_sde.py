@@ -143,6 +143,12 @@ class TestSimulateEnsemble:
                                    rtol=1e-6)
         assert s.covs[:, 0, 0].min() >= 0.0
 
+    @pytest.mark.parametrize("chunk_size", [-1, 0, 2.5, True, "8"])
+    def test_chunk_size_must_be_positive_integer(self, chunk_size):
+        """-1 used to return uninitialised means, 0 and 2.5 raised from range."""
+        with pytest.raises(ContractViolationError, match="^chunk_size must be an integer"):
+            simulate_ensemble(vp_model(), tf=0.1, dt=0.05, n_traj=5, chunk_size=chunk_size)
+
     def test_divergence_names_trajectory(self):
         m = SDEModel(A0=[[50.0]], b0=[0.0], C0=[[0.0]])
         with pytest.raises(DivergenceError, match="trajectory"):
@@ -247,9 +253,14 @@ class TestBlockStepper:
             return np.array([1e6 if next(calls) == 37 else 1.0])
 
         model = SDEModel(A0=[[1.0]], b0=[0.0], C0=[[0.0]])
-        with pytest.raises(DivergenceError, match=r"^trajectory 37 diverged at t=13\.89$"):
+        with pytest.raises(DivergenceError,
+                           match=r"^trajectory 37 diverged at t=13\.89$") as info:
             simulate_ensemble(model, initial_sampler=initial, tf=20.0, dt=0.01,
                               n_traj=50, base_seed=0, chunk_size=16)
+        err = info.value
+        assert (err.trajectory, err.step) == (37, 1389)
+        assert err.t == pytest.approx(13.89)
+        assert err.max_abs == pytest.approx(1e6 * 1.01 ** 1389)
 
     def test_noise_memory_does_not_grow_with_steps(self):
         model = SDEModel(A0=-np.eye(4), b0=np.zeros(4), C0=np.eye(4))
@@ -268,6 +279,39 @@ class TestBlockStepper:
         assert long < 12.0
         # Only the (n_steps, N, N) moment arrays grow with the grid.
         assert long - short < 4.0
+
+
+    def test_footprint_of_a_chunked_ensemble(self):
+        """2 048 trajectories at N = 4 run as two chunks of 1 024 through one
+        8 MiB noise block; with a block per chunk, or a 16 MiB block over one
+        2 048-wide chunk, the peak passed 20 MiB."""
+        model = SDEModel(A0=-np.eye(4), b0=np.zeros(4), C0=np.eye(4))
+        tracemalloc.start()
+        try:
+            simulate_ensemble(model, tf=0.6, dt=1e-3, n_traj=2048, base_seed=3)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 14.0
+
+
+class TestGaussianInitial:
+    @pytest.mark.parametrize("mean, cov, words", [
+        ([0.0, 0.0], np.eye(3), "must be 2x2 to match the mean"),
+        ([0.0, 0.0], [[1.0, 0.0]], "must be 2x2 to match the mean"),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], "must be finite"),
+        ([np.inf, 0.0], np.eye(2), "must be finite"),
+        ([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]], "symmetric within 1e-10"),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], "SPD"),
+    ])
+    def test_rejects_misfit_covariance(self, mean, cov, words):
+        with pytest.raises(ContractViolationError, match=words):
+            gaussian_initial(mean, cov)
+
+    def test_accepts_rounding_asymmetry(self):
+        cov = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+        v = gaussian_initial([0.0, 0.0], cov)(trajectory_rng(0, 0))
+        assert v.shape == (2,)
 
 
 class TestPropagateMoments:

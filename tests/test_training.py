@@ -218,8 +218,10 @@ class TestTrainDemon:
         def bad_objective(d, rng):
             return np.nan, np.zeros(d.net.get_flat().size)
 
-        with pytest.raises(DivergenceError, match="step 0"):
+        with pytest.raises(DivergenceError, match="step 0") as info:
             train_demon(demon, bad_objective, TrainConfig(steps=3, seed=0))
+        err = info.value
+        assert (err.step, err.t, err.trajectory, err.max_abs) == (0, None, None, None)
 
     def test_objective_without_gradients_rejected(self):
         demon = ScoreNetworkDemon(1, hidden=(4,), seed=0)
