@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_sde import SDEModel, _grid, _path, trajectory_rng
+from .core_sde import SDEModel, _check_diverged, _grid, _path, trajectory_rng
 from .demon import ForceDemon
 from .errors import ContractViolationError, DivergenceError
 from .gates import GateProgram, constant_schedule
@@ -78,12 +78,13 @@ def diffusion_forward(spec: DiffusionSpec, x0_batch, dt, seed):
 def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
     """Generate by running the time-reparameterized reverse SDE from the
     noise prior:  dx = [-f(T-tau) x + g(T-tau)^2 s(x, T-tau)] dtau
-    + g(T-tau) dw."""
+    + g(T-tau) dw.  A sample row that turns non-finite or runaway raises
+    DivergenceError naming the row, the step and the reverse time tau."""
     n_steps = _grid(0.0, spec.T, dt)
     rng = trajectory_rng(seed, 0)
     X = spec.prior_sample(rng, n_samples)
-    tau = 0.0
-    for _ in range(n_steps):
+    tau, ends = 0.0, dt * np.arange(1, n_steps + 1)
+    for k in range(n_steps):
         t = spec.T - tau
         s = score.query_batch(t, X)
         if s.shape != X.shape:
@@ -91,6 +92,7 @@ def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
         g = spec.g(t)
         drift = -spec.f(t) * X + g * g * s
         X = X + drift * dt + g * np.sqrt(dt) * rng.standard_normal(X.shape)
+        _check_diverged(X[None], k, 0, ends, "sample")
         tau += dt
     return X
 
@@ -388,7 +390,8 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
 
     Prior mode uses f_w; posterior mode routes the weights through the
     posterior drift network as NN(t, w) + w.  Returns (times, hidden
-    states (steps+1, batch, hidden), weights (steps+1, weight_dim))."""
+    states (steps+1, batch, hidden), weights (steps+1, weight_dim)).  A
+    non-finite or runaway state raises DivergenceError at its first step."""
     if mode not in ("prior", "posterior"):
         raise ContractViolationError("mode must be 'prior' or 'posterior'")
     if mode == "posterior" and spec.posterior_net is None:
@@ -416,6 +419,8 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
         t += dt
         Hs[k + 1], Ws[k + 1] = H, w
     times = dt * np.arange(n_steps + 1)
+    _check_diverged(np.concatenate([Hs[1:].reshape(n_steps, 1, -1), Ws[1:, None]], axis=2),
+                    0, 0, times[1:])
     return times, Hs, Ws
 
 

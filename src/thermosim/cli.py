@@ -26,7 +26,7 @@ from .apps import (DiffusionSpec, NSDESpec, anneal, diffusion_reverse,
 from .circuit import RCNetlist, compile_network, compile_rc_cell
 from .core_sde import (SDEModel, fixed_initial, gaussian_initial,
                        propagate_moments, simulate_ensemble,
-                       simulate_trajectory)
+                       simulate_trajectory, write_compact_json, write_csv)
 from .demon import AnalyticScoreDemon, ScoreNetworkDemon
 from .errors import ConfigError, ContractViolationError, DivergenceError
 from .gates import program_from_json
@@ -38,7 +38,6 @@ from .training import (TrainConfig, VPSchedule, kernel_dsm_objective,
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-CSV_BLOCK_VALUES = 512
 # libyaml's parser when PyYAML was built with it; it builds the same objects.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -131,33 +130,16 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(out, cfg, artifacts):
-    manifest = {
-        "version": __version__,
-        "config": cfg,
-        "artifacts": {name: _sha256(out / name) for name in artifacts},
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def _write_chain_csv(path, chain, header=None):
-    chain = np.atleast_2d(np.asarray(chain, dtype=float))
-    if header is None:
-        header = ["x%d" % (j + 1) for j in range(chain.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        # Rows are formatted about CSV_BLOCK_VALUES numbers at a time, so a
-        # long chain is never held as Python floats and strings all at once.
-        block = max(1, CSV_BLOCK_VALUES // chain.shape[1])
-        for start in range(0, len(chain), block):
-            rows = chain[start:start + block].tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
-
-
 def _write_json(path, doc):
+    """Write a small document (metrics, manifest) indented, with sorted keys."""
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_manifest(out, cfg, artifacts):
+    _write_json(out / "manifest.json", {
+        "version": __version__, "config": cfg,
+        "artifacts": {name: _sha256(out / name) for name in artifacts}})
 
 
 def _write_samples(out, name, chain, **metrics):
@@ -166,7 +148,7 @@ def _write_samples(out, name, chain, **metrics):
     chain = np.atleast_2d(np.asarray(chain, dtype=float))
     if len(chain) < 2:
         raise ConfigError(f"metrics need 2 samples, {len(chain)} left; raise the step count")
-    _write_chain_csv(out / name, chain)
+    write_csv(out / name, chain)
     _write_json(out / "metrics.json", dict(
         n_samples=int(chain.shape[0]), mean=np.mean(chain, axis=0).tolist(),
         cov=np.atleast_2d(np.cov(chain.T)).tolist(), **metrics))
@@ -277,7 +259,7 @@ def simulate(cfg, out):
                                 _get(cfg, "n_traj", 1, kind=int), seed)
     summary.to_json(out / "moments.json")
     oracle = propagate_moments(model, program, v0, cov0, t0, tf, dt)
-    _write_json(out / "oracle_moments.json", {
+    write_compact_json(out / "oracle_moments.json", {
         "times": [m.t for m in oracle], "mean": [m.mean.tolist() for m in oracle],
         "cov": [m.cov.tolist() for m in oracle]})
     return ["trajectory.csv", "moments.json", "oracle_moments.json"]
@@ -386,8 +368,7 @@ def compile_circuit(cfg, out):
         click.echo(name)
         for row in M:
             click.echo(",".join(repr(float(x)) for x in row))
-        _write_chain_csv(out / f"{name}.csv", M,
-                         header=[f"c{j + 1}" for j in range(model.dim)])
+        write_csv(out / f"{name}.csv", M, [f"c{j + 1}" for j in range(model.dim)])
     return ["A0.csv", "C0.csv"]
 
 
@@ -436,8 +417,8 @@ def nsde_rollout(cfg, out):
         spec, "prior", _get(cfg, "inputs", required=True, kind=_array(2)),
         _get(cfg, "T", 1.0, kind=float), _get(cfg, "dt", 1e-2, kind=float),
         _get(cfg, "seed"), w0=_get(cfg, "w0", kind=_array(1)))
-    _write_chain_csv(out / "weights.csv", W)
-    _write_chain_csv(out / "hidden_final.csv", H[-1])
+    write_csv(out / "weights.csv", W)
+    write_csv(out / "hidden_final.csv", H[-1])
     return ["weights.csv", "hidden_final.csv"]
 
 
@@ -451,8 +432,8 @@ def latent_rollout(cfg, out):
         _get(cfg, "checkpoints", required=True, kind=_array(1)),
         t0=_get(cfg, "t0", 0.0, kind=float), dt=_get(cfg, "dt", 1e-2, kind=float),
         seed=_get(cfg, "seed"))
-    _write_chain_csv(out / "readouts.csv", np.column_stack([times, readouts]),
-                     header=["t"] + [f"h{j + 1}" for j in range(model.dim)])
+    write_csv(out / "readouts.csv", np.column_stack([times, readouts]),
+              ["t"] + [f"h{j + 1}" for j in range(model.dim)])
     return ["readouts.csv"]
 
 

@@ -12,7 +12,6 @@ propagates the exact Gaussian moment ODEs as an independent oracle.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -36,6 +35,35 @@ DIVERGENCE_LIMIT = 1e12
 NOISE_BLOCK_BYTES = 8 * 2 ** 20
 NOISE_BLOCK_STEPS = 512
 SUB_BLOCK_BYTES = 2 ** 20
+CSV_BLOCK_VALUES = 512
+
+
+def write_csv(path, rows, header=None):
+    """Write ``rows``, an array (a vector is one row) or a list of row lists,
+    under ``header`` (default x1, x2, ...) as LF-ended comma-separated lines
+    of str values: a float's shortest round-trip repr, a string as it is.
+    Rows are formatted about CSV_BLOCK_VALUES values at a time, so a long
+    array is never held as Python floats and strings all at once."""
+    if isinstance(rows, np.ndarray):
+        rows = np.atleast_2d(rows)
+    if header is None:
+        header = ["x%d" % (j + 1) for j in range(len(rows[0]))]
+    block = max(1, CSV_BLOCK_VALUES // len(header))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            if isinstance(part, np.ndarray):
+                part = part.tolist()
+            fh.write("".join([",".join(map(str, row)) + "\n" for row in part]))
+
+
+def write_compact_json(path, doc):
+    """Write ``doc`` as one line of JSON, refusing NaN and infinities.
+    json.dumps runs the C encoder; json.dump always runs the pure-Python
+    one.  Both write the same bytes."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, allow_nan=False))
 
 
 def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
@@ -113,12 +141,8 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self, path):
-        n = self.values.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"v{j + 1}" for j in range(n)])
-            for t, row in zip(self.times, self.values):
-                writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
+        write_csv(path, np.column_stack([self.times, self.values]),
+                  ["t"] + [f"v{j + 1}" for j in range(self.values.shape[1])])
 
 
 @dataclass(frozen=True)
@@ -151,16 +175,8 @@ class EnsembleSummary:
     final_states: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self, path):
-        doc = {
-            "n_traj": self.n_traj,
-            "times": self.times.tolist(),
-            "mean": self.means.tolist(),
-            "cov": self.covs.tolist(),
-        }
-        # json.dumps runs the C encoder; json.dump always runs the pure-Python
-        # one.  Both write the same bytes.
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, allow_nan=False))
+        write_compact_json(path, {"n_traj": self.n_traj, "times": self.times.tolist(),
+                                  "mean": self.means.tolist(), "cov": self.covs.tolist()})
 
 
 def _grid(t0, tf, dt):
@@ -217,14 +233,14 @@ def _workspace(m, n, n_steps):
     return block, sub, np.empty(m * block * n), np.empty((sub + 1) * m * n), np.empty(m * n)
 
 
-def _check_diverged(X, k, start, ends):
-    """Raise for the first step, then the first trajectory, whose state in
-    X (steps k, k+1, ... by batch by N, step j ending at ends[j]) is
-    non-finite or runaway."""
+def _check_diverged(X, k, start, ends, what="trajectory"):
+    """Raise for the first step, then the first row (``what`` start + i),
+    whose state in X (steps k, k+1, ... by batch by N, step j ending at
+    ends[j]) is non-finite or runaway."""
     if X.max() <= DIVERGENCE_LIMIT and X.min() >= -DIVERGENCE_LIMIT:
         return
     j, i = np.argwhere(~np.all(np.abs(X) <= DIVERGENCE_LIMIT, axis=2))[0]
-    raise DivergenceError(f"trajectory {start + i} diverged at t={ends[k + j]:g}",
+    raise DivergenceError(f"{what} {start + i} diverged at step {k + j + 1}, t={ends[k + j]:g}",
                           trajectory=int(start + i), step=int(k + j + 1),
                           t=float(ends[k + j]), max_abs=float(np.max(np.abs(X[j, i]))))
 
@@ -453,26 +469,28 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
     if np.max(np.abs(cov - cov.T)) > 1e-10 or np.min(np.linalg.eigvalsh(cov)) < -1e-9:
         raise ContractViolationError("cov0 must be symmetric PSD")
 
-    def rhs(t, mu, cov):
-        if program is None:
-            A, b, C, _ = model.coefficients(t)
-        else:
-            A, b, C, _ = program.coefficients(model, t)
-        dmu = A @ mu + b
-        dcov = A @ cov + cov @ A.T + C @ C.T
-        return dmu, dcov
+    def coefficients(t):
+        A, b, C, _ = (model.coefficients(t) if program is None
+                      else program.coefficients(model, t))
+        return A, b, C @ C.T
 
+    def rhs(A, b, Q, mu, cov):
+        return A @ mu + b, A @ cov + cov @ A.T + Q
+
+    # Coefficients are evaluated once per distinct time: k2 and k3 share the
+    # midpoint, and k4's t + dt is the next step's start.
     out = [GaussianMoments(t0, mu.copy(), cov.copy())]
-    t = t0
+    t, start = t0, coefficients(t0)
     for _ in range(n_steps):
-        k1m, k1c = rhs(t, mu, cov)
-        k2m, k2c = rhs(t + dt / 2, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
-        k3m, k3c = rhs(t + dt / 2, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
-        k4m, k4c = rhs(t + dt, mu + dt * k3m, cov + dt * k3c)
+        mid, end = coefficients(t + dt / 2), coefficients(t + dt)
+        k1m, k1c = rhs(*start, mu, cov)
+        k2m, k2c = rhs(*mid, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
+        k3m, k3c = rhs(*mid, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
+        k4m, k4c = rhs(*end, mu + dt * k3m, cov + dt * k3c)
         mu = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
         cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
         cov = (cov + cov.T) / 2
-        t += dt
+        t, start = t + dt, end
         out.append(GaussianMoments(t, mu.copy(), cov.copy()))
     return out
 

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .core_sde import write_compact_json
 from .errors import ContractViolationError
 from .mlp import MLP
 from .potentials import Gaussian, GaussianMixture, central_difference_gradient
@@ -145,8 +146,7 @@ class ScoreNetworkDemon(Demon):
                    n_frequencies=doc["n_frequencies"], net=MLP.from_dict(doc["net"]))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+        write_compact_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):

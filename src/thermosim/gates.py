@@ -173,11 +173,11 @@ class Schedule:
         self._prefixes = None
 
     def _prefix(self, j) -> np.ndarray:
-        # product of end operators of segments 0..j-1
+        # product of end operators of segments 0..j-1, for j below the segment count
         if self._prefixes is None:
             acc = np.array(1.0)
             prefixes = [acc]
-            for seg in self.segments:
+            for seg in self.segments[:-1]:
                 acc = _compose(seg.operator_at(seg.t_end), acc)
                 prefixes.append(acc)
             self._prefixes = prefixes

@@ -11,13 +11,12 @@ applied to p one sparse product at a time.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_sde import trajectory_rng
+from .core_sde import trajectory_rng, write_csv
 from .errors import ContractViolationError
 
 MAX_DENSE_BITS = 12
@@ -204,12 +203,8 @@ class SBitTrajectory:
         return np.array([t for t, _ in self.jumps])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "state_bits"])
-            writer.writerow([0.0, "".join(map(str, self.x0))])
-            for t, x in self.jumps:
-                writer.writerow([repr(float(t)), "".join(map(str, x))])
+        write_csv(path, [[float(t), "".join(map(str, x))]
+                         for t, x in [(0.0, self.x0)] + self.jumps], ["t", "state_bits"])
 
 
 def sample_coupled_trajectory(system: SBitSystem, x0, T: float, seed: int) -> SBitTrajectory:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_sde import SDEModel
+from .core_sde import SDEModel, write_csv
 from .demon import ScoreNetworkDemon
 from .errors import ContractViolationError, DivergenceError
 from .mlp import SGD, Adam
@@ -216,7 +216,4 @@ def train_demon(demon, objective, config: TrainConfig):
 
 
 def loss_history_to_csv(history, path):
-    with open(path, "w") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(history):
-            fh.write(f"{i},{float(loss)!r}\n")
+    write_csv(path, list(enumerate(np.asarray(history, dtype=float).tolist())), ["step", "loss"])

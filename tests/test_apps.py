@@ -129,6 +129,25 @@ class TestDiffusionReverse:
         with pytest.raises(ContractViolationError):
             diffusion_reverse(spec, gaussian_score_demon([0.0], 1.0, sched), 10, 0.3, seed=0)
 
+    @pytest.mark.parametrize("kick", [1e14, np.nan, np.inf])
+    def test_runaway_sample_is_a_divergence(self, kick):
+        """Row 3's score jumps from t = 0.7 on (the fourth step), so the
+        fourth step's state breaks the stepper's rule there first."""
+        spec = DiffusionSpec("ve", 1, T=1.0, c0=1.0)
+
+        class KickedScore:
+            def query_batch(self, t, X):
+                s = np.zeros_like(X)
+                if t < 0.75:
+                    s[3] = kick
+                return s
+
+        with pytest.raises(DivergenceError,
+                           match=r"^sample 3 diverged at step 4, t=0\.4$") as info:
+            diffusion_reverse(spec, KickedScore(), 10, 0.1, seed=0)
+        assert (info.value.trajectory, info.value.step) == (3, 4)
+        assert info.value.t == pytest.approx(0.4)
+
 
 class TestTargets:
     def test_gradient_fd_consistency(self):
@@ -404,6 +423,22 @@ class TestWeightDiffuser:
         with pytest.raises(ContractViolationError):
             weight_diffuser_rollout(self.make_spec(), "prior", [[0.0, 0.0]], 1.0,
                                     0.3, seed=0)
+
+    @pytest.mark.parametrize("block", ["weights", "hidden"])
+    def test_runaway_state_is_a_divergence(self, block):
+        """A drift that jumps at t = 0.5 leaves a runaway state after step 3,
+        at t = 0.75, whether it drives the weights or the hidden states."""
+        def jump(t, x):
+            return np.full_like(x, 4e13 if t >= 0.5 else 0.0)
+
+        if block == "weights":
+            spec = NSDESpec(2, 4, lambda t, H, w: np.zeros_like(H), f_w=jump)
+        else:
+            spec = NSDESpec(2, 4, lambda t, H, w: jump(t, H))
+        with pytest.raises(DivergenceError,
+                           match=r"^trajectory 0 diverged at step 3, t=0\.75$") as info:
+            weight_diffuser_rollout(spec, "prior", [[1.0, 0.0]], 1.0, 0.25, seed=0)
+        assert (info.value.step, info.value.t) == (3, 0.75)
 
     def test_determinism(self):
         spec = self.make_spec(sigma=0.3, f_w=lambda t, w: -w)

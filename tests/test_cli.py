@@ -6,8 +6,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from thermosim import cli
+from thermosim import cli, core_sde
 from thermosim.cli import main
+from thermosim.demon import ScoreNetworkDemon
 
 
 def run_cli(args):
@@ -279,6 +280,19 @@ class TestSamplers:
         assert np.all(np.isfinite(samples))
         assert abs(samples.mean() - 2.0) < 0.3
 
+    def test_sample_diffusion_divergence_exit_3(self, tmp_path):
+        demon = ScoreNetworkDemon(2, hidden=(8,))
+        doc = demon.to_dict()
+        doc["net"]["weights"][-1] = (np.array(doc["net"]["weights"][-1]) * 1e300).tolist()
+        (tmp_path / "demon.json").write_text(json.dumps(doc))
+        cfg = {"seed": 1, "dim": 2, "n_samples": 10, "dt": 0.01,
+               "score": {"kind": "checkpoint", "path": str(tmp_path / "demon.json")},
+               "output_dir": str(tmp_path / "o")}
+        result = run_cli(["sample-diffusion", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 3, result.output
+        assert "diverged at step 1, t=0.01" in result.output
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
 
 class TestSBitCommand:
     def test_smoke_and_determinism(self, tmp_path):
@@ -337,6 +351,16 @@ class TestRollouts:
                "sigma": 0.1, "inputs": [[1.0, 0.0], [0.0, 1.0]]}
         h = run_twice_and_compare(tmp_path, "nsde-rollout", cfg)
         assert set(h) == {"weights.csv", "hidden_final.csv"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nsde_rollout_divergence_exit_3(self, tmp_path):
+        cfg = {"seed": 1, "hidden_dim": 2, "T": 1.0, "dt": 0.01, "sigma": 1e308,
+               "weight_drift": "zero", "inputs": [[1, 2], [3, 4]],
+               "output_dir": str(tmp_path / "o")}
+        result = run_cli(["nsde-rollout", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 3, result.output
+        assert "diverged at step 1, t=0.01" in result.output
+        assert not (tmp_path / "o" / "weights.csv").exists()
 
     def test_latent_rollout(self, tmp_path):
         cfg = {"seed": 4, "model": {"A0": [[-1.0]], "b0": [0.5], "C0": [[0.2]]},
@@ -434,11 +458,11 @@ def test_chain_csv_bytes_unchanged(tmp_path, shape):
     special = np.array([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308, 0.1, -2.5])
     flat = chain.reshape(-1)
     flat[:min(flat.size, special.size)] = special[:flat.size]
-    cli._write_chain_csv(tmp_path / "new.csv", chain)
+    core_sde.write_csv(tmp_path / "new.csv", chain)
     _row_by_row_csv(tmp_path / "old.csv", chain)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     header = ["t"] + [f"h{j}" for j in range(np.atleast_2d(chain).shape[1] - 1)]
-    cli._write_chain_csv(tmp_path / "new_h.csv", chain, header=header)
+    core_sde.write_csv(tmp_path / "new_h.csv", chain, header=header)
     _row_by_row_csv(tmp_path / "old_h.csv", chain, header=header)
     assert (tmp_path / "new_h.csv").read_bytes() == (tmp_path / "old_h.csv").read_bytes()
 
@@ -464,3 +488,56 @@ def test_libyaml_loader_builds_the_same_configs(tmp_path):
         fast = yaml.load(text, Loader=yaml.CSafeLoader)
         assert repr(fast) == repr(pure)
         assert repr(cli._load_config(path)) == repr(pure)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+ARTIFACT_CONFIGS = {
+    "simulate": TestSimulate().cfg(),
+    "sample-diffusion": {"seed": 2, "dim": 1, "dt": 0.05, "n_samples": 20,
+                         "score": {"kind": "analytic_gaussian", "mean": [2.0],
+                                   "cov": [[0.25]]}},
+    "sghmc": {"seed": 3, "target": {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+              "n_steps": 100, "dt": 0.05},
+    "sgld": {"seed": 3, "target": {"kind": "double_well", "dim": 2}, "n_steps": 100},
+    "hmc": {"seed": 3, "target": {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+            "n_iter": 20},
+    "anneal": {"seed": 5, "loss": {"kind": "double_well", "dim": 1}, "n_steps": 100},
+    "sbit": {"seed": 7, "T": 5.0, "lambda0": 1.0, "lambda1": 3.0, "x0": 0},
+    "compile-circuit": {"seed": 0, "cell": {"R": 1.0, "C": 1.0, "T": 300.0}},
+    "train-demon": {"seed": 1, "data": {"kind": "gaussian", "mean": [2.0], "cov": [[0.25]]},
+                    "train": {"steps": 5, "batch_size": 8}},
+    "nsde-rollout": {"seed": 4, "hidden_dim": 2, "T": 0.1, "dt": 0.01,
+                     "inputs": [[1.0, 0.0], [0.0, 1.0]]},
+    "latent-rollout": {"seed": 4, "model": {"A0": [[-1.0]], "b0": [0.5], "C0": [[0.2]]},
+                       "h0": [1.0], "checkpoints": [0.25, 0.5], "dt": 0.05},
+}
+
+
+def test_artifact_configs_cover_every_subcommand():
+    assert set(ARTIFACT_CONFIGS) == set(main.commands)
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_CONFIGS))
+def test_artifacts_are_lf_csv_and_strict_json(tmp_path, command):
+    """Every artifact a subcommand lists, and its manifest, has LF line ends
+    only; CSVs parse as numbers (an s-bit trajectory's state_bits column as
+    bit strings) and JSON parses with NaN and infinities refused."""
+    out = tmp_path / "o"
+    cfg = {**ARTIFACT_CONFIGS[command], "output_dir": str(out)}
+    result = run_cli([command, write_config(tmp_path, "c.yaml", cfg)])
+    assert result.exit_code == 0, result.output
+    for name in [*artifact_hashes(out), "manifest.json"]:
+        text = (out / name).read_bytes().decode()
+        assert "\r" not in text, name
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_reject_constant)
+        elif text.startswith("t,state_bits\n"):
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            assert all(np.isfinite(float(t)) and set(bits) <= {"0", "1"}
+                       for t, bits in rows), name
+        else:
+            assert np.all(np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1,
+                                                 ndmin=2))), name

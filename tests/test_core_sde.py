@@ -254,7 +254,7 @@ class TestBlockStepper:
 
         model = SDEModel(A0=[[1.0]], b0=[0.0], C0=[[0.0]])
         with pytest.raises(DivergenceError,
-                           match=r"^trajectory 37 diverged at t=13\.89$") as info:
+                           match=r"^trajectory 37 diverged at step 1389, t=13\.89$") as info:
             simulate_ensemble(model, initial_sampler=initial, tf=20.0, dt=0.01,
                               n_traj=50, base_seed=0, chunk_size=16)
         err = info.value
@@ -346,6 +346,50 @@ class TestPropagateMoments:
             rel = (np.linalg.norm(summary.covs[k] - oracle[k].cov)
                    / np.linalg.norm(oracle[k].cov))
             assert rel < 0.1
+
+    def test_coefficients_once_per_distinct_time(self, monkeypatch):
+        """Under a gate program the oracle evaluates the coefficients once at
+        each step start and midpoint, 2 n_steps + 1 calls, and equals an RK4
+        that evaluates them afresh at every stage."""
+        m = SDEModel(A0=[[-1.0, 0.3], [0.0, -0.5]], b0=[0.2, -0.1],
+                     C0=[[0.4, 0.0], [0.1, 0.3]])
+        K = 0.1 * np.arange(16.0).reshape(4, 4) - 0.8 * np.eye(4)
+        prog = GateProgram(
+            schedule_A=Schedule([GateSegment(Generator.dense("drift_super", K), 0.0, 0.5),
+                                 GateSegment(Generator.diagonal("drift_super",
+                                                                [0.2, 0.0, -0.1, 0.3]),
+                                             0.5, 1.0)]),
+            schedule_b=Schedule([GateSegment(Generator.scalar("drift_vec", 0.5), 0.0, 1.0)]),
+            schedule_C=Schedule([GateSegment(Generator.scalar("diffusion_super", -0.3),
+                                             0.0, 1.0)]))
+        mu0, cov0, dt = np.array([1.0, -1.0]), 0.1 * np.eye(2), 1e-3
+        coefficients, calls = GateProgram.coefficients, []
+
+        def counted(self, model, t):
+            calls.append(t)
+            return coefficients(self, model, t)
+
+        monkeypatch.setattr(GateProgram, "coefficients", counted)
+        oracle = propagate_moments(m, prog, mu0, cov0, tf=1.0, dt=dt)
+        assert len(calls) == 2001
+
+        def rhs(t, mu, cov):
+            A, b, C, _ = coefficients(prog, m, t)
+            return A @ mu + b, A @ cov + cov @ A.T + C @ C.T
+
+        mu, cov, t = mu0, cov0, 0.0
+        for step in oracle[1:]:
+            k1m, k1c = rhs(t, mu, cov)
+            k2m, k2c = rhs(t + dt / 2, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
+            k3m, k3c = rhs(t + dt / 2, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
+            k4m, k4c = rhs(t + dt, mu + dt * k3m, cov + dt * k3c)
+            mu = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
+            cov = (cov + cov.T) / 2
+            t += dt
+            assert step.t == t
+            np.testing.assert_array_equal(step.mean, mu)
+            np.testing.assert_array_equal(step.cov, cov)
 
     def test_dt_halving_within_noise_band(self):
         m = vp_model()
