@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_sde import SDEModel, _check_diverged, _grid, _path, trajectory_rng
+from .core_sde import (SDEModel, _check_diverged, _grid, _path, _spd, _vector,
+                       trajectory_rng)
 from .demon import ForceDemon
-from .errors import ContractViolationError, DivergenceError
+from .errors import ContractViolationError
 from .gates import GateProgram, constant_schedule
 from .potentials import (DoubleWellPotential, Gaussian, GaussianMixture,
                          NegativeLogDensityPotential, QuadraticPotential,
@@ -92,7 +93,7 @@ def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
         g = spec.g(t)
         drift = -spec.f(t) * X + g * g * s
         X = X + drift * dt + g * np.sqrt(dt) * rng.standard_normal(X.shape)
-        _check_diverged(X[None], k, 0, ends, "sample")
+        _check_diverged(X[None], k, 0, ends, "sample {}")
         tau += dt
     return X
 
@@ -144,27 +145,6 @@ def _burn(chain, burn_in):
     return chain[int(len(chain) * burn_in):]
 
 
-def _start(v, n, name="x0"):
-    """A chain's starting vector: zeros if v is None, else v as a finite
-    length-n float vector."""
-    v = np.zeros(n) if v is None else np.asarray(v, dtype=float).reshape(-1)
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
-        raise ContractViolationError(f"{name} must be finite, of length {n}")
-    return v
-
-
-def _spd(X, n, name):
-    """The n x n symmetric positive-definite matrix X; the identity if X is None."""
-    X = np.eye(n) if X is None else np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape != (n, n) or np.max(np.abs(X - X.T)) > 1e-10:
-        raise ContractViolationError(f"{name} matrix must be symmetric {n}x{n}")
-    try:
-        np.linalg.cholesky(X)
-    except np.linalg.LinAlgError as exc:
-        raise ContractViolationError(f"{name} matrix must be SPD") from exc
-    return X
-
-
 def _row_products(L, z, scale):
     """Every row (L @ z[k]) * scale of a block of draws, summed one column at
     a time with no matrix product; equal to the per-row product when L is
@@ -178,17 +158,6 @@ def _row_products(L, z, scale):
     return out
 
 
-def _check_chain(name, chain, step_time):
-    """Raise DivergenceError at the first non-finite row of a finished chain;
-    row k holds the state after step k + 1, at time step_time(k)."""
-    bad = ~np.all(np.isfinite(chain), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        t = float(step_time(k))
-        raise DivergenceError(f"{name} chain diverged at step {k + 1}, t={t:g}",
-                              step=k + 1, t=t)
-
-
 def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
                  n_steps=10000, dt=1e-2, seed=0, gradient_noise="exact",
                  noise_cov=None, x0=None, burn_in=0.2):
@@ -196,18 +165,19 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
     dx = M^-1 p dt,  dp = -[grad U + B M^-1 p] dt + sqrt(2B) dw.
 
     The force comes from a force-based demon whose latent variable is x;
-    'stochastic' gradient mode injects N(0, V) noise onto grad U.
+    'stochastic' gradient mode injects N(0, V) noise onto grad U, with V
+    the SPD matrix noise_cov.
     """
     n = target.dim
-    M, B = _spd(mass, n, "mass"), _spd(friction, n, "friction")
+    demon = ForceDemon(target.potential, mass=mass, x0=_vector(x0, n, "x0"))
+    B = _spd(friction, n, "friction matrix")[0]
     noise_chol = np.linalg.cholesky(2.0 * B)
-    Minv = np.linalg.inv(M)
+    Minv = demon.mass_inv
     rng = trajectory_rng(seed, 0)
-    demon = ForceDemon(target.potential, mass=M, x0=_start(x0, n))
-    demon.reset()
     if gradient_noise == "stochastic":
-        V = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-        grad_chol = np.linalg.cholesky(V)
+        if noise_cov is None:
+            raise ContractViolationError("stochastic gradient mode needs noise_cov")
+        grad_chol = _spd(noise_cov, n, "gradient noise covariance")[1]
     elif gradient_noise != "exact":
         raise ContractViolationError("gradient_noise must be 'exact' or 'stochastic'")
 
@@ -231,7 +201,7 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
         p = p + (force - drag @ p) * dt + kicks[k]
         demon.advance(k * dt, p, None, dt)
         chain[k] = demon.x
-    _check_chain("sghmc", chain, lambda k: (k + 1) * dt)
+    _check_diverged(chain[:, None], 0, 0, dt * np.arange(1, n_steps + 1), "sghmc chain")
     return _burn(chain, burn_in)
 
 
@@ -242,7 +212,7 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
     of the step index; it must be positive and nonincreasing."""
     n = target.dim
     rng = trajectory_rng(seed, 0)
-    theta = _start(x0, n)
+    theta = _vector(x0, n, "x0")
     eps_fn = step_sizes if callable(step_sizes) else (lambda k: float(step_sizes))
     eps = np.array([eps_fn(k) for k in range(n_steps)], dtype=float)
     if not (eps > 0).all() or (eps[1:] > eps[:-1] + 1e-15).any():
@@ -262,7 +232,7 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
             theta = theta + half[k] * grad_log_pi + np.sqrt(eps[k]) * rng.standard_normal(n)
             chain[k] = theta
     # Step k advances Langevin time by eps_k.
-    _check_chain("sgld", chain, lambda k: sum(eps[:k + 1]))
+    _check_diverged(chain[:, None], 0, 0, np.cumsum(eps), "sgld chain")
     return _burn(chain, burn_in)
 
 
@@ -305,9 +275,9 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
     if n_iter < 1:
         raise ContractViolationError("need at least one iteration")
     n = target.dim
-    x, M = _start(x0, n), _spd(mass, n, "mass")
+    x = _vector(x0, n, "x0")
+    M, chol = _spd(mass, n, "mass matrix")
     Minv = np.linalg.inv(M)
-    chol = np.linalg.cholesky(M)
     rng = trajectory_rng(seed, 0)
     chain = np.empty((n_iter, n))
     accepted = 0
@@ -344,13 +314,13 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
     Returns (best x seen, post-burn-in x chain)."""
     n = loss.dim
     S = np.eye(n) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
-    if not np.allclose(S, np.tril(S)):
-        raise ContractViolationError("S must be lower-triangular")
+    if S.shape != (n, n) or not np.allclose(S, np.tril(S)):
+        raise ContractViolationError(f"S must be a lower-triangular {n}x{n} matrix")
     if not np.all(np.isfinite(S)):
         raise ContractViolationError("S must be finite")
     D = S @ S.T
     rng = trajectory_rng(seed, 0)
-    x, p = _start(x0, n), _start(p0, n, "p0")
+    x, p = _vector(x0, n, "x0"), _vector(p0, n, "p0")
     best_x, best_val = x.copy(), lam * loss.U(x)
     chain = np.empty((n_steps, n))
     half_D = 0.5 * D
@@ -362,7 +332,7 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
         if val < best_val:
             best_val, best_x = val, x
         chain[k] = x
-    _check_chain("anneal", chain, lambda k: (k + 1) * dt)
+    _check_diverged(chain[:, None], 0, 0, dt * np.arange(1, n_steps + 1), "anneal chain")
     return best_x, _burn(chain, burn_in)
 
 
@@ -399,7 +369,7 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
     H = np.atleast_2d(np.asarray(input_batch, dtype=float)).copy()
     if H.shape[1] != spec.hidden_dim:
         raise ContractViolationError("input batch width must equal hidden_dim")
-    w = _start(w0, spec.weight_dim, "w0")
+    w = _vector(w0, spec.weight_dim, "w0")
     n_steps = _grid(0.0, T, dt)
     rng = trajectory_rng(seed, 0)
     Hs = np.empty((n_steps + 1,) + H.shape)
@@ -440,9 +410,7 @@ def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,
     if program is not None and program.domain is not None:
         if checkpoints and checkpoints[-1] > program.domain[1] + 1e-12:
             raise ContractViolationError("checkpoint outside program horizon")
-    v = np.asarray(h0, dtype=float).reshape(-1)
-    if v.shape != (model.dim,):
-        raise ContractViolationError("h0 dimension mismatch")
+    v = _vector(h0, model.dim, "h0")
     t, k, times, dts, marks = t0, 0, [np.empty(0)], [np.empty(0)], []
     for tk in checkpoints:
         if abs(tk - t) >= 1e-12:

@@ -158,31 +158,19 @@ def compile_rc_cell(R: float, C: float, T: float) -> SDEModel:
     return SDEModel(A0=[[a]], b0=[0.0], C0=[[c]], D0=[[1.0]])
 
 
-def _conductance_matrix(netlist: RCNetlist) -> np.ndarray:
-    n = netlist.n_cells
-    J = np.diag([1.0 / c.R for c in netlist.cells])
+def _stamp(diagonal, netlist: RCNetlist, weight) -> np.ndarray:
+    """diag(diagonal) plus the Laplacian of the closed couplings, each
+    stamped with weight(coupling value)."""
+    L = np.diag(diagonal)
     for cp in netlist.couplings:
         if not cp.switch:
             continue
-        g = 1.0 / cp.value
-        J[cp.i, cp.i] += g
-        J[cp.j, cp.j] += g
-        J[cp.i, cp.j] -= g
-        J[cp.j, cp.i] -= g
-    return J
-
-
-def _capacitance_matrix(netlist: RCNetlist) -> np.ndarray:
-    n = netlist.n_cells
-    Cm = np.diag([c.C for c in netlist.cells])
-    for cp in netlist.couplings:
-        if not cp.switch:
-            continue
-        Cm[cp.i, cp.i] += cp.value
-        Cm[cp.j, cp.j] += cp.value
-        Cm[cp.i, cp.j] -= cp.value
-        Cm[cp.j, cp.i] -= cp.value
-    return Cm
+        w = weight(cp.value)
+        L[cp.i, cp.i] += w
+        L[cp.j, cp.j] += w
+        L[cp.i, cp.j] -= w
+        L[cp.j, cp.i] -= w
+    return L
 
 
 def compile_network(netlist: RCNetlist) -> SDEModel:
@@ -194,23 +182,19 @@ def compile_network(netlist: RCNetlist) -> SDEModel:
     propagated through the same linear map as the fluctuation term.
     """
     n = netlist.n_cells
-    R_diag = np.diag([c.R for c in netlist.cells])
+    Rinv = np.linalg.inv(np.diag([c.R for c in netlist.cells]))
     noise_amp = np.diag([np.sqrt(2.0 * BOLTZMANN_K * c.T * c.R) for c in netlist.cells])
     kinds = {c.kind for c in netlist.couplings if c.switch}
     kind = kinds.pop() if kinds else "resistive"
 
     if kind == "resistive":
-        Cm = np.diag([c.C for c in netlist.cells])
-        J = _conductance_matrix(netlist)
-        Cinv = _safe_inverse(Cm, netlist)
-        A0 = -Cinv @ J
-        # fluctuation enters as C^-1 R^-1 dv
-        C0 = Cinv @ np.linalg.inv(R_diag) @ noise_amp
+        Cinv = _safe_inverse(np.diag([c.C for c in netlist.cells]), netlist)
+        A0 = -Cinv @ _stamp([1.0 / c.R for c in netlist.cells], netlist, lambda r: 1.0 / r)
     else:
-        Cm = _capacitance_matrix(netlist)
-        Cinv = _safe_inverse(Cm, netlist)
-        A0 = -Cinv @ np.linalg.inv(R_diag)
-        C0 = Cinv @ np.linalg.inv(R_diag) @ noise_amp
+        Cinv = _safe_inverse(_stamp([c.C for c in netlist.cells], netlist, float), netlist)
+        A0 = -Cinv @ Rinv
+    # fluctuation enters as C^-1 R^-1 dv
+    C0 = Cinv @ Rinv @ noise_amp
     return SDEModel(A0=A0, b0=np.zeros(n), C0=C0, D0=np.eye(n))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -107,6 +108,19 @@ def _from_file(cfg, field, parse, required=True):
                           f"{type(exc).__name__}: {exc}") from None
 
 
+def _check_finite(node, path=""):
+    """Raise ConfigError naming the field of the first non-finite number in
+    a config, read or not: the manifest records every field."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, list):
+        for value in node:
+            _check_finite(value, path)
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config field {path} must be finite")
+
+
 def _resolve(cfg, output_dir, seed):
     cfg = dict(cfg)
     if output_dir is not None:
@@ -117,6 +131,7 @@ def _resolve(cfg, output_dir, seed):
         raise ConfigError("missing config field: seed (wall-clock seeding is not allowed)")
     if type(cfg["seed"]) is not int:  # bool is an int subclass
         raise ConfigError("config field seed must be an integer")
+    _check_finite(cfg)
     out = Path(cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -246,9 +261,6 @@ def simulate(cfg, out):
         sampler, cov0 = fixed_initial(v0), np.zeros((n, n))
     else:
         cov0 = _get(cfg, "initial.cov", required=True, kind=_array(2))
-        if cov0.shape != (n, n):
-            raise ConfigError(f"config field initial.cov must be {n}x{n}, "
-                              f"got shape {cov0.shape}")
         try:
             sampler = gaussian_initial(v0, cov0)
         except ContractViolationError as exc:

@@ -153,15 +153,8 @@ class GaussianMoments:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if cov.shape != (mean.size, mean.size):
-            raise ContractViolationError("cov shape inconsistent with mean")
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
-            raise ContractViolationError("cov not symmetric within 1e-10")
-        if np.min(np.linalg.eigvalsh((cov + cov.T) / 2)) < -1e-9:
-            raise ContractViolationError("cov not positive semidefinite")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov", _spd(self.cov, mean.size, "cov", psd=True)[0])
 
 
 @dataclass
@@ -177,6 +170,37 @@ class EnsembleSummary:
     def to_json(self, path):
         write_compact_json(path, {"n_traj": self.n_traj, "times": self.times.tolist(),
                                   "mean": self.means.tolist(), "cov": self.covs.tolist()})
+
+
+def _vector(v, n, name):
+    """v as a finite length-n float vector; zeros if v is None."""
+    v = np.zeros(n) if v is None else np.asarray(v, dtype=float).reshape(-1)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ContractViolationError(f"{name} must be finite, of length {n}")
+    return v
+
+
+def _spd(X, n, name, psd=False):
+    """X (the identity if None) as a finite n x n float matrix, symmetric
+    within 1e-10 and positive definite, with its lower Cholesky factor.
+    With psd=True X may be singular (no eigenvalue below -1e-9) and the
+    factor is None."""
+    X = np.eye(n) if X is None else np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape != (n, n):
+        raise ContractViolationError(f"{name} must be {n}x{n} to match the mean or state, "
+                                     f"got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ContractViolationError(f"{name} must be finite")
+    if np.max(np.abs(X - X.T)) > 1e-10:
+        raise ContractViolationError(f"{name} must be symmetric within 1e-10")
+    if psd:
+        if np.min(np.linalg.eigvalsh(X)) < -1e-9:
+            raise ContractViolationError(f"{name} must be positive semidefinite")
+        return X, None
+    try:
+        return X, np.linalg.cholesky(X)
+    except np.linalg.LinAlgError as exc:
+        raise ContractViolationError(f"{name} must be SPD") from exc
 
 
 def _grid(t0, tf, dt):
@@ -233,14 +257,16 @@ def _workspace(m, n, n_steps):
     return block, sub, np.empty(m * block * n), np.empty((sub + 1) * m * n), np.empty(m * n)
 
 
-def _check_diverged(X, k, start, ends, what="trajectory"):
-    """Raise for the first step, then the first row (``what`` start + i),
-    whose state in X (steps k, k+1, ... by batch by N, step j ending at
-    ends[j]) is non-finite or runaway."""
-    if X.max() <= DIVERGENCE_LIMIT and X.min() >= -DIVERGENCE_LIMIT:
+def _check_diverged(X, k, start, ends, what="trajectory {}"):
+    """Raise for the first step, then the first row (named by
+    ``what.format(start + i)``), whose state in X (steps k, k+1, ... by
+    batch by N, step j ending at ends[j]) is non-finite or runaway: some
+    |x| > DIVERGENCE_LIMIT.  X may hold no step."""
+    if X.max(initial=0.0) <= DIVERGENCE_LIMIT and X.min(initial=0.0) >= -DIVERGENCE_LIMIT:
         return
     j, i = np.argwhere(~np.all(np.abs(X) <= DIVERGENCE_LIMIT, axis=2))[0]
-    raise DivergenceError(f"{what} {start + i} diverged at step {k + j + 1}, t={ends[k + j]:g}",
+    raise DivergenceError(f"{what.format(start + i)} diverged at step {k + j + 1}, "
+                          f"t={ends[k + j]:g}",
                           trajectory=int(start + i), step=int(k + j + 1),
                           t=float(ends[k + j]), max_abs=float(np.max(np.abs(X[j, i]))))
 
@@ -330,9 +356,7 @@ def simulate_trajectory(model: SDEModel, program=None, demon=None, v0=None, t0=0
     simulate_ensemble(n_traj=1, base_seed=seed) bit for bit.
     """
     n_steps = _grid(t0, tf, dt)
-    v0 = np.zeros(model.dim) if v0 is None else np.asarray(v0, dtype=float).reshape(-1)
-    if v0.shape != (model.dim,):
-        raise ContractViolationError("v0 dimension mismatch")
+    v0 = _vector(v0, model.dim, "v0")
     step_times, dts = t0 + dt * np.arange(n_steps), np.full(n_steps, dt)
     values = _path(model, program, demon, v0[None], step_times, dts, seed)[0]
     times = t0 + dt * np.arange(n_steps + 1)
@@ -353,23 +377,12 @@ def fixed_initial(v0):
 def gaussian_initial(mean, cov):
     """Initial sampler drawing from N(mean, cov).
 
-    cov must be a finite SPD matrix of the mean's size, symmetric within
-    1e-10 as propagate_moments requires: Cholesky reads only its lower
-    triangle, so an asymmetric cov would silently draw from another law.
+    The mean must be finite and cov a finite SPD matrix of its size,
+    symmetric within 1e-10: Cholesky reads only the lower triangle, so an
+    asymmetric cov would silently draw from another law.
     """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.shape != (mean.size, mean.size):
-        raise ContractViolationError(f"initial covariance must be {mean.size}x{mean.size} "
-                                     f"to match the mean, got shape {cov.shape}")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ContractViolationError("initial mean and covariance must be finite")
-    if np.max(np.abs(cov - cov.T)) > 1e-10:
-        raise ContractViolationError("initial covariance must be symmetric within 1e-10")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ContractViolationError("initial covariance must be SPD") from exc
+    mean = _vector(mean, np.size(mean), "initial mean")
+    chol = _spd(cov, mean.size, "initial covariance")[1]
 
     def sampler(rng):
         return mean + chol @ rng.standard_normal(mean.size)
@@ -462,12 +475,8 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
     """
     n_steps = _grid(t0, tf, dt)
     n = model.dim
-    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=float).reshape(-1)
-    cov = np.zeros((n, n)) if cov0 is None else np.atleast_2d(np.asarray(cov0, dtype=float))
-    if mu.shape != (n,) or cov.shape != (n, n):
-        raise ContractViolationError("mu0/cov0 dimension mismatch")
-    if np.max(np.abs(cov - cov.T)) > 1e-10 or np.min(np.linalg.eigvalsh(cov)) < -1e-9:
-        raise ContractViolationError("cov0 must be symmetric PSD")
+    mu = _vector(mu0, n, "mu0")
+    cov = _spd(np.zeros((n, n)) if cov0 is None else cov0, n, "cov0", psd=True)[0]
 
     def coefficients(t):
         A, b, C, _ = (model.coefficients(t) if program is None

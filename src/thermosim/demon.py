@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .core_sde import write_compact_json
+from .core_sde import _spd, _vector, write_compact_json
 from .errors import ContractViolationError
 from .mlp import MLP
 from .potentials import Gaussian, GaussianMixture, central_difference_gradient
@@ -219,21 +219,11 @@ class ForceDemon(Demon):
 
     def __init__(self, potential, mass=None, x0=None, dim=None,
                  gradient_mode="analytic", fd_step=1e-4):
-        if x0 is None:
-            if dim is None:
-                raise ContractViolationError("need x0 or dim")
-            x0 = np.zeros(dim)
-        self.x0 = np.asarray(x0, dtype=float).reshape(-1)
-        n = self.x0.size
-        mass = np.eye(n) if mass is None else np.atleast_2d(np.asarray(mass, dtype=float))
-        if mass.shape != (n, n) or np.max(np.abs(mass - mass.T)) > 1e-10:
-            raise ContractViolationError("mass matrix must be symmetric NxN")
-        try:
-            np.linalg.cholesky(mass)
-        except np.linalg.LinAlgError as exc:
-            raise ContractViolationError("mass matrix must be SPD") from exc
-        self.mass = mass
-        self.mass_inv = np.linalg.inv(mass)
+        if x0 is None and dim is None:
+            raise ContractViolationError("need x0 or dim")
+        self.x0 = _vector(x0, dim if x0 is None else np.size(x0), "x0")
+        self.mass = _spd(mass, self.x0.size, "mass matrix")[0]
+        self.mass_inv = np.linalg.inv(self.mass)
         self.potential = potential
         if gradient_mode not in ("analytic", "fd"):
             raise ContractViolationError("gradient_mode must be 'analytic' or 'fd'")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core_sde import _spd
 from .errors import ContractViolationError
 
 
@@ -23,8 +24,6 @@ def central_difference_gradient(f, x, h=1e-4):
 
 class Potential:
     """Time-dependent scalar field with analytic gradient."""
-
-    time_dependent = False
 
     def value(self, t, x):
         raise NotImplementedError
@@ -67,15 +66,8 @@ class Gaussian:
 
     def __init__(self, mean, cov):
         self.mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if cov.shape != (self.mean.size,) * 2:
-            raise ContractViolationError("cov shape inconsistent with mean")
-        try:
-            self._chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ContractViolationError("covariance must be SPD") from exc
-        self.cov = cov
-        self.precision = np.linalg.inv(cov)
+        self.cov, self._chol = _spd(cov, self.mean.size, "covariance")
+        self.precision = np.linalg.inv(self.cov)
         self._log_norm = -0.5 * (self.mean.size * np.log(2 * np.pi)
                                  + 2 * np.sum(np.log(np.diag(self._chol))))
 

@@ -14,6 +14,7 @@ from thermosim import (AnalyticScoreDemon, ConjugateGaussianModel,
                        mixture_target, propagate_moments, sghmc_sample,
                        sgld_sample, simulate_trajectory,
                        weight_diffuser_rollout)
+from thermosim.core_sde import DIVERGENCE_LIMIT
 
 
 def gaussian_score_demon(mean, var, schedule):
@@ -198,7 +199,7 @@ class TestSGHMC:
         err = info.value
         assert str(err) == f"sghmc chain diverged at step {err.step}, t={err.t:g}"
         assert err.t == pytest.approx(3.0 * err.step)
-        assert (err.trajectory, err.max_abs) == (None, None)
+        assert err.trajectory == 0 and err.max_abs > DIVERGENCE_LIMIT
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_force_is_a_divergence(self):
@@ -216,7 +217,6 @@ class TestSGHMC:
         chains = [sghmc_sample(flat, n_steps=500, dt=0.01, seed=s, burn_in=0.0)
                   for s in range(3000)]
         xs = np.array([c[-1, 0] for c in chains])
-        target_var = oracle[-(1 + 4 * 100)].cov[0, 0]  # t = 5.0 - 0.01*... pick t=1.0
         # state at step 500 corresponds to t = 5.0 in chain time 500*0.01
         target_var = oracle[500].cov[0, 0]
         assert abs(xs.var() - target_var) / target_var < 0.15
@@ -225,6 +225,17 @@ class TestSGHMC:
         target = gaussian_target([0.0], [[1.0]])
         with pytest.raises(ContractViolationError):
             sghmc_sample(target, mass=[[-1.0]], n_steps=10, seed=0)
+
+    @pytest.mark.parametrize("noise_cov, words", [
+        (None, "needs noise_cov"),
+        (np.eye(3), "gradient noise covariance must be 2x2"),
+        ([[1.0, 0.5], [0.0, 1.0]], "gradient noise covariance must be symmetric"),
+    ])
+    def test_misfit_noise_cov_rejected(self, noise_cov, words):
+        target = gaussian_target([0.0, 0.0], np.eye(2))
+        with pytest.raises(ContractViolationError, match=words):
+            sghmc_sample(target, n_steps=10, seed=0, gradient_noise="stochastic",
+                         noise_cov=noise_cov)
 
     def test_stochastic_gradient_mode_runs(self):
         target = gaussian_target([0.0], [[1.0]])
@@ -365,6 +376,24 @@ class TestAnneal:
                    seed=0)
 
 
+@pytest.mark.parametrize("name, run", [
+    ("sgld", lambda: sgld_sample(gaussian_target([0.0], [[1.0]]), step_sizes=10.0,
+                                 n_steps=40, seed=0)),
+    ("sghmc", lambda: sghmc_sample(TargetDistribution("flat", 1, _ZeroPotential()),
+                                   n_steps=60, dt=3.0, seed=0)),
+    ("anneal", lambda: anneal(gaussian_target([0.0], [[1.0]]), n_steps=60, dt=3.0,
+                              seed=0)),
+])
+def test_finite_runaway_chain_is_a_divergence(name, run):
+    """Each chain stays finite to its end but passes DIVERGENCE_LIMIT on the
+    way, so the stepper's rule stops it, as it stops an ensemble."""
+    with pytest.raises(DivergenceError, match=rf"^{name} chain diverged at step \d+, t=") as info:
+        run()
+    err = info.value
+    assert err.trajectory == 0
+    assert DIVERGENCE_LIMIT < err.max_abs < np.inf
+
+
 class TestSamplerCrossValidation:
     def test_sghmc_vs_hmc_gaussian_moments(self):
         target = gaussian_target([0.0, 0.0], np.eye(2))
@@ -448,6 +477,11 @@ class TestWeightDiffuser:
 
 
 class TestLatentRollout:
+    def test_nonfinite_h0_is_a_contract_violation(self):
+        model = SDEModel(A0=[[-1.0, 0.0], [0.0, -1.0]], b0=[0.0, 0.0], C0=np.eye(2))
+        with pytest.raises(ContractViolationError, match="h0 must be finite"):
+            latent_sde_rollout(model, None, None, [np.nan, 0.0], [0.5])
+
     def test_checkpoint_at_start_returns_h0(self):
         model = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[0.0]])
         times, out = latent_sde_rollout(model, None, None, [2.0], [0.0])

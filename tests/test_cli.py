@@ -145,6 +145,7 @@ class TestExitCodes:
         assert "SPD" in result.output
 
     GAUSS = {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+    ASYMMETRIC = [[1.0, 0.9], [0.0, 1.0]]
     TRAIN = {"seed": 1, "data": {"kind": "gaussian", "mean": [2.0], "cov": [[0.25]]},
              "train": {"mode": "in_situ", "steps": 2, "batch_size": 4}}
 
@@ -174,12 +175,28 @@ class TestExitCodes:
         ("train-demon", {**TRAIN, "model": {"vp": {"dim": 2}}}, "dimensions differ"),
         ("train-demon", {**TRAIN, "model": {"vp": {"beta": 0.0}}},
          "kernel covariance must be SPD"),
+        ("anneal", {"seed": 0, "loss": {"kind": "double_well", "dim": 2}, "S": np.eye(3).tolist(),
+                    "n_steps": 10}, "S must be a lower-triangular 2x2 matrix"),
+        ("hmc", {"seed": 0, "target": {**GAUSS, "mean": [0.0, 0.0], "cov": ASYMMETRIC},
+                 "n_iter": 5}, "covariance must be symmetric within 1e-10"),
+        ("train-demon", {**TRAIN, "data": {**GAUSS, "mean": [0.0, 0.0], "cov": ASYMMETRIC}},
+         "covariance must be symmetric within 1e-10"),
     ])
     def test_out_of_range_exit_2(self, tmp_path, command, cfg, words):
         path = write_config(tmp_path, "c.yaml", {**cfg, "output_dir": str(tmp_path / "o")})
         result = run_cli([command, path])
         assert result.exit_code == 2, result.output
         assert words in result.output
+
+    def test_nonfinite_unread_field_exit_2_before_run(self, tmp_path):
+        """No subcommand reads ``extra``, but the manifest records it, and
+        strict JSON has no NaN."""
+        cfg = {"seed": 7, "T": 5.0, "lambda0": 1.0, "lambda1": 3.0, "extra": float("nan"),
+               "output_dir": str(tmp_path / "o")}
+        result = run_cli(["sbit", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 2, result.output
+        assert "config field extra must be finite" in result.output
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Singular matrix"), KeyError("x")])
     def test_library_fault_exit_1_names_type(self, tmp_path, monkeypatch, exc):
@@ -261,6 +278,15 @@ class TestSamplers:
         result = run_cli(["sghmc", write_config(tmp_path, "c.yaml", cfg)])
         assert result.exit_code == 3
         assert "sghmc chain diverged at step" in result.output
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
+    def test_sgld_finite_runaway_exit_3(self, tmp_path):
+        """The chain reaches |x| ~ 1e23 in 40 steps without overflowing."""
+        cfg = {"seed": 0, "target": {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+               "step_size": 10.0, "n_steps": 40, "output_dir": str(tmp_path / "o")}
+        result = run_cli(["sgld", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 3, result.output
+        assert "sgld chain diverged at step" in result.output
         assert not (tmp_path / "o" / "metrics.json").exists()
 
     def test_sample_diffusion(self, tmp_path):

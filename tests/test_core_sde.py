@@ -314,6 +314,18 @@ class TestGaussianInitial:
         assert v.shape == (2,)
 
 
+@pytest.mark.parametrize("run, words", [
+    (lambda m: propagate_moments(m, mu0=[np.nan, 0.0]), "mu0 must be finite"),
+    (lambda m: propagate_moments(m, cov0=[[np.nan, 0.0], [0.0, 1.0]]), "cov0 must be finite"),
+    (lambda m: simulate_trajectory(m, v0=[0.0, np.inf]), "v0 must be finite"),
+], ids=["mu0", "cov0", "v0"])
+def test_nonfinite_start_is_a_contract_violation(run, words):
+    """A bad initial state is an input fault, not trajectory 0 diverging at
+    step 1 nor a NaN oracle."""
+    with pytest.raises(ContractViolationError, match=words):
+        run(vp_model(2))
+
+
 class TestPropagateMoments:
     def test_ve_closed_form(self):
         c0 = 2.0

@@ -43,6 +43,12 @@ class TestGaussianBatch:
         assert g.score(X[0]).shape == (2,)
         assert np.ndim(g.log_density(X[0])) == 0
 
+    def test_asymmetric_covariance_rejected(self):
+        """Cholesky reads the lower triangle and the precision the whole
+        matrix, so an asymmetric cov would sample and score two laws."""
+        with pytest.raises(ContractViolationError, match="symmetric within 1e-10"):
+            Gaussian([0.0, 0.0], [[1.0, 0.9], [0.0, 1.0]])
+
 
 class TestMixtureBatch:
     def test_single_point_matches_reference(self):
