@@ -67,8 +67,73 @@ def write_compact_json(path, doc):
 
 
 def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based independent stream for trajectory `index`."""
+    """Counter-based independent stream for trajectory `index`: Philox keyed
+    by SeedSequence([base_seed, index]).  Ensembles build one chunk's worth
+    through this function and re-key them for later chunks (_chunk_rngs),
+    which draws the same numbers."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([base_seed, index])))
+
+
+# SeedSequence's uint32 mixing (numpy's bit_generator.pyx, after O'Neill's
+# seed_seq) for a two-word entropy [base_seed, index] and its pool of four
+# words: the running hash constants (init * mult**j mod 2**32) of its 16
+# hashmix calls and of the 4 output words of generate_state(2, np.uint64).
+_MIX_A = [0x43B0D7E5 * pow(0x931E8875, j, 2 ** 32) % 2 ** 32 for j in range(17)]
+_MIX_B = [0x8B51F9DD * pow(0x58F38DED, j, 2 ** 32) % 2 ** 32 for j in range(5)]
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _philox_keys(base_seed, indices):
+    """SeedSequence([base_seed, i]).generate_state(2, np.uint64) for every i
+    in ``indices``, as rows of an (m, 2) uint64 array: the same multiplies,
+    xors and shifts, run over all indices at once.  Exact only while
+    base_seed and every index lie in [0, 2**32), one entropy word each."""
+    idx = np.asarray(indices, dtype=np.uint32)
+    calls = iter(range(16))
+
+    def hashmix(v):
+        j = next(calls)
+        v = (v ^ np.uint32(_MIX_A[j])) * np.uint32(_MIX_A[j + 1])
+        return v ^ (v >> np.uint32(16))
+
+    zero = np.zeros_like(idx)
+    pool = [hashmix(np.full_like(idx, base_seed)), hashmix(idx), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = v ^ (v >> np.uint32(16))
+    words = []
+    for j, v in enumerate(pool):
+        v = (v ^ np.uint32(_MIX_B[j])) * np.uint32(_MIX_B[j + 1])
+        words.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return np.stack([words[0] | words[1] << np.uint64(32),
+                     words[2] | words[3] << np.uint64(32)], axis=1)
+
+
+def _chunk_rngs(rngs, base_seed, start, stop):
+    """Generators for trajectories start..stop-1, each drawing what
+    trajectory_rng(base_seed, i) draws.  ``rngs`` is the workspace's pool:
+    the first chunk fills it through trajectory_rng, and later chunks re-key
+    its Philox states from one vectorised pass of _philox_keys, which costs
+    under a tenth of making new ones.  A base seed that is not an integer,
+    or a seed or index outside [0, 2**32), is not a two-word SeedSequence
+    entropy, so it takes the per-stream trajectory_rng path.  Only the
+    Philox state is re-keyed: a re-keyed generator's bit_generator.seed_seq,
+    and so its spawn(), still belong to the stream it was made for."""
+    m = stop - start
+    if (rngs and m <= len(rngs) and isinstance(base_seed, (int, np.integer))
+            and 0 <= base_seed <= 0xFFFFFFFF and stop - 1 <= 0xFFFFFFFF):
+        # A fresh Philox: counter and buffer zero, no buffered output.
+        zeros = [0, 0, 0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for rng, key in zip(rngs, _philox_keys(base_seed, np.arange(start, stop)).tolist()):
+            state["state"]["key"] = key
+            rng.bit_generator.state = state
+    else:
+        rngs[:] = [trajectory_rng(base_seed, i) for i in range(start, stop)]
+    return rngs[:m]
 
 
 @dataclass(frozen=True)
@@ -155,6 +220,14 @@ class GaussianMoments:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _spd(self.cov, mean.size, "cov", psd=True)[0])
+
+    @classmethod
+    def _unchecked(cls, t, mean, cov):
+        """Moments the caller has already checked or computed: no _spd pass."""
+        self = object.__new__(cls)
+        for name, value in (("t", t), ("mean", mean), ("cov", cov)):
+            object.__setattr__(self, name, value)
+        return self
 
 
 @dataclass
@@ -251,10 +324,11 @@ def _block_steps(m, n, n_steps):
 def _workspace(m, n, n_steps):
     """Buffers for chunks of at most m streams of dimension n, made once and
     viewed by every chunk: the steps per noise block and per state sub-block,
-    then flat space for the noise block, the sub-block's states and the
-    linear drift."""
+    flat space for the noise block, the sub-block's states and the linear
+    drift, then the pool of generators that _chunk_rngs fills and re-keys."""
     block, sub = _block_steps(m, n, n_steps)
-    return block, sub, np.empty(m * block * n), np.empty((sub + 1) * m * n), np.empty(m * n)
+    return (block, sub, np.empty(m * block * n), np.empty((sub + 1) * m * n), np.empty(m * n),
+            [])
 
 
 def _check_diverged(X, k, start, ends, what="trajectory {}"):
@@ -276,19 +350,22 @@ def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start,
     """Step trajectories start..stop-1 over the whole grid, step k from
     step_times[k] by dts[k]; return final states.
 
-    Trajectory i draws its initial state, then its noise, from
-    trajectory_rng(base_seed, i), one time block at a time into an
-    (m, block, N) view of ``workspace``, which _workspace made for at least
-    m streams.  Each block is stepped in cache-sized sub-blocks:
-    the noise map, the divergence check and ``observe(k, X)`` (X holds the
-    states at grid indices k, k+1, ...) run once per sub-block.  With a demon
-    the divergence check runs every step, before the demon sees the state,
-    and its output must be (m, M).
+    Trajectory i draws its initial state, then its noise, from the stream
+    of trajectory_rng(base_seed, i) (a generator of the workspace's pool,
+    see _chunk_rngs), one time block at a time into an (m, block, N) view of
+    ``workspace``, which _workspace made for at least m streams.  Each block
+    is stepped in cache-sized sub-blocks: the noise map, the divergence
+    check and ``observe(k, X)`` (X holds the states at grid indices k, k+1,
+    ...) run once per sub-block.  With a demon the divergence check runs
+    every step, before the demon sees the state, and its output must be
+    (m, M).  A constant c (one broadcast map) is added as one tiled row over
+    the sub-block viewed as (s, m N): one long inner loop, not m of N.
     """
     M, S, c, E = props
     n_steps, n = len(step_times), M.shape[-1]
     m, ends = stop - start, step_times + dts
-    rngs = [trajectory_rng(base_seed, i) for i in range(start, stop)]
+    block, sub, noise, Vs, drift, pool = workspace
+    rngs = _chunk_rngs(pool, base_seed, start, stop)
     V0 = np.array([initial_sampler(rng) for rng in rngs], dtype=float)
     if V0.shape != (m, n):
         raise ContractViolationError("initial state dimension mismatch")
@@ -296,11 +373,12 @@ def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start,
     state = None
     if demon is not None and not getattr(demon, "stateless", False):
         state = demon.batch(m)
+    bias = np.tile(c[0], m) if len(c) and c.strides[0] == 0 else None
 
-    block, sub, noise, Vs, drift = workspace
     noise = noise[:m * block * n].reshape(m, block, n)
     Vs = Vs[:(sub + 1) * m * n].reshape(sub + 1, m, n)  # Vs[0]: state before the sub-block
     Vs[0] = V0
+    rows = Vs.reshape(sub + 1, m * n)  # Vs with each step's states as one row
     drift = drift[:m * n].reshape(m, n)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n_steps, block):
@@ -311,7 +389,10 @@ def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start,
                 s, k = min(sub, nb - j0), k0 + j0
                 X = Vs[1:s + 1]
                 np.matmul(noise[:, j0:j0 + s].transpose(1, 0, 2), S[k:k + s], out=X)
-                X += c[k:k + s, None]
+                if bias is None:
+                    X += c[k:k + s, None]
+                else:
+                    rows[1:s + 1] += bias
                 for j in range(s):
                     V = Vs[j]
                     X[j] += np.matmul(V, M[k + j], out=drift)
@@ -395,10 +476,14 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
                       chunk_size=1024, keep_final=False) -> EnsembleSummary:
     """Integrate `n_traj` independent trajectories and summarize their moments.
 
-    Per-trajectory streams are derived from (base_seed, index).  At n_traj=1
-    member 0 reproduces simulate_trajectory(seed=base_seed) bit for bit; in
-    larger batches it agrees to rounding, since BLAS may round a row of a
-    batched product differently.  Stateless demons are queried on whole
+    Trajectory i draws the stream of trajectory_rng(base_seed, i).  The
+    first chunk's generators are made through trajectory_rng once per call
+    and re-keyed for each later chunk (_chunk_rngs), which draws the same
+    numbers; a base seed or index of 2**32 or more takes trajectory_rng per
+    stream.  At n_traj=1 member 0 reproduces
+    simulate_trajectory(seed=base_seed) bit for bit; in larger batches it
+    agrees to rounding, since BLAS may round a row of a batched product
+    differently.  Stateless demons are queried on whole
     batches; a stateful demon is stepped through demon.batch(chunk), one
     fresh state per chunk that holds every trajectory's row.
 
@@ -472,35 +557,55 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
     mu' = A mu + b,  Sigma' = A Sigma + Sigma A^T + C C^T.  Fourth-order in
     dt, so this serves as an oracle strictly more accurate than the sampler
     on the same grid.  Demon terms are not modeled (linear models only).
+
+    mu0 and cov0 are checked once; each step's moments are new arrays the
+    loop itself has symmetrised, so they are returned without a second
+    check.  Without a program C C^T is formed once.  Moments that overflow
+    raise DivergenceError naming the first step and time whose mean or
+    covariance is non-finite.
     """
     n_steps = _grid(t0, tf, dt)
     n = model.dim
-    mu = _vector(mu0, n, "mu0")
-    cov = _spd(np.zeros((n, n)) if cov0 is None else cov0, n, "cov0", psd=True)[0]
+    mu = _vector(mu0, n, "mu0").copy()
+    cov = _spd(np.zeros((n, n)) if cov0 is None else cov0, n, "cov0", psd=True)[0].copy()
 
     def coefficients(t):
-        A, b, C, _ = (model.coefficients(t) if program is None
-                      else program.coefficients(model, t))
+        A, b, C, _ = model.coefficients(t) if program is None else program.coefficients(model, t)
         return A, b, C @ C.T
+
+    if program is None:
+        fixed = coefficients(t0)
+        coefficients = lambda t: fixed  # noqa: E731
 
     def rhs(A, b, Q, mu, cov):
         return A @ mu + b, A @ cov + cov @ A.T + Q
 
     # Coefficients are evaluated once per distinct time: k2 and k3 share the
     # midpoint, and k4's t + dt is the next step's start.
-    out = [GaussianMoments(t0, mu.copy(), cov.copy())]
+    out = [GaussianMoments._unchecked(t0, mu, cov)]
     t, start = t0, coefficients(t0)
-    for _ in range(n_steps):
-        mid, end = coefficients(t + dt / 2), coefficients(t + dt)
-        k1m, k1c = rhs(*start, mu, cov)
-        k2m, k2c = rhs(*mid, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
-        k3m, k3c = rhs(*mid, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
-        k4m, k4c = rhs(*end, mu + dt * k3m, cov + dt * k3c)
-        mu = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-        cov = (cov + cov.T) / 2
-        t, start = t + dt, end
-        out.append(GaussianMoments(t, mu.copy(), cov.copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            mid, end = coefficients(t + dt / 2), coefficients(t + dt)
+            k1m, k1c = rhs(*start, mu, cov)
+            k2m, k2c = rhs(*mid, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
+            k3m, k3c = rhs(*mid, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
+            k4m, k4c = rhs(*end, mu + dt * k3m, cov + dt * k3c)
+            mu = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
+            cov = (cov + cov.T) / 2
+            t, start = t + dt, end
+            out.append(GaussianMoments._unchecked(t, mu, cov))
+    def finite(g):
+        return np.all(np.isfinite(g.mean)) and np.all(np.isfinite(g.cov))
+
+    # A non-finite entry stays non-finite in every later step, so the last
+    # step tells whether any step overflowed.
+    if not finite(out[-1]):
+        k = next(k for k, g in enumerate(out) if not finite(g))
+        raise DivergenceError(f"moment oracle diverged at step {k}, t={out[k].t:g}", step=k,
+                              t=float(out[k].t),
+                              max_abs=float(np.max(np.abs(np.append(out[k].mean, out[k].cov)))))
     return out
 
 

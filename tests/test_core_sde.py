@@ -12,6 +12,7 @@ from thermosim import (AnalyticScoreDemon, ContractViolationError,
                        fixed_initial, gaussian_initial, propagate_moments,
                        simulate_ensemble, simulate_trajectory,
                        stationary_covariance, trajectory_rng)
+from thermosim.gates import constant_schedule
 
 
 def vp_model(dim=1, beta=2.0):
@@ -243,6 +244,20 @@ class TestBlockStepper:
         np.testing.assert_allclose(a.means, b.means, rtol=0, atol=1e-13)
         np.testing.assert_allclose(a.covs, b.covs, rtol=0, atol=1e-13)
 
+    def test_constant_and_per_step_bias_agree(self):
+        """Without a program the stepper adds c as one tiled row per
+        sub-block; a drift_vec schedule of exactly 1 gives the same c per
+        step through the per-step broadcast.  Both give the same bits, over
+        1 000 trajectories in chunks of 384 (a partial last chunk of 232)."""
+        program = GateProgram(schedule_b=constant_schedule("drift_vec", lambda t: 1.0, 0.0, 1.0))
+        kwargs = dict(initial_sampler=gaussian_initial([0.5, -1.0], np.eye(2)), tf=0.3,
+                      dt=0.01, n_traj=1000, base_seed=8, chunk_size=384, keep_final=True)
+        a = simulate_ensemble(coupled_model(), **kwargs)
+        b = simulate_ensemble(coupled_model(), program, **kwargs)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.covs, b.covs)
+        np.testing.assert_array_equal(a.final_states, b.final_states)
+
     def test_divergence_names_first_step_and_trajectory(self):
         # Trajectory 37, in the third chunk, starts at 1e6 and grows by 1.01
         # per step, so it passes 1e12 at step 1389 (t = 13.89), mid-block.
@@ -403,6 +418,14 @@ class TestPropagateMoments:
             np.testing.assert_array_equal(step.mean, mu)
             np.testing.assert_array_equal(step.cov, cov)
 
+    def test_runaway_moments_are_a_divergence(self):
+        """An unstable model's covariance (e^{2t}) overflows near t = 355:
+        the oracle names that step and time instead of returning inf."""
+        with pytest.raises(DivergenceError,
+                           match=r"^moment oracle diverged at step 712, t=356$") as info:
+            propagate_moments(SDEModel([[1.0]], [0.0], [[1.0]]), tf=800, dt=0.5)
+        assert (info.value.step, info.value.t, info.value.max_abs) == (712, 356.0, np.inf)
+
     def test_dt_halving_within_noise_band(self):
         m = vp_model()
         a = simulate_ensemble(m, tf=1.0, dt=0.02, n_traj=4000, base_seed=2)
@@ -444,3 +467,52 @@ def test_trajectory_streams_independent_and_reproducible(seed, idx):
     c = trajectory_rng(seed, idx + 1).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+class TestChunkStreams:
+    """An ensemble keeps one pool of generators per call and re-keys it for
+    each chunk; every generator must draw what trajectory_rng draws."""
+
+    SEEDS = [0, 1, 2 ** 32 - 1] + [int(x) for x in
+                                   np.random.default_rng(2026).integers(0, 2 ** 32, 3)]
+
+    def test_vectorised_keys_match_seed_sequence(self):
+        rng = np.random.default_rng(17)
+        indices = np.concatenate([[0, 1, 2 ** 32 - 1], rng.integers(0, 2 ** 32, 61)])
+        for seed in self.SEEDS:
+            keys = core_sde._philox_keys(seed, indices)
+            ref = [np.random.SeedSequence([seed, int(i)]).generate_state(2, np.uint64)
+                   for i in indices]
+            np.testing.assert_array_equal(keys, ref)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rekeyed_pool_draws_trajectory_rng_streams(self, seed):
+        pool = []
+        first = core_sde._chunk_rngs(pool, seed, 0, 8)
+        first[2].standard_normal(3)  # leave Philox's buffer part used
+        first[5].integers(0, 10, size=3, dtype=np.uint32)  # and its held uint32
+        starts = [8, 8 + int(np.random.default_rng(seed).integers(0, 2 ** 31)), 2 ** 32 - 8]
+        for start, width in zip(starts, (8, 8, 3)):
+            rngs = core_sde._chunk_rngs(pool, seed, start, start + width)
+            assert len(rngs) == width and all(a is b for a, b in zip(rngs, first))
+            for i, rng in enumerate(rngs):
+                np.testing.assert_array_equal(
+                    rng.standard_normal(7), trajectory_rng(seed, start + i).standard_normal(7))
+
+    @pytest.mark.parametrize("seed, start", [(2 ** 32, 8), (2 ** 40 + 5, 8), ([1, 2], 8),
+                                             (3, 2 ** 32 - 4), (3, 2 ** 33)])
+    def test_wide_values_take_the_seed_sequence_path(self, seed, start, monkeypatch):
+        pool = []
+        core_sde._chunk_rngs(pool, seed, 0, 8)
+        made = []
+        monkeypatch.setattr(core_sde, "trajectory_rng",
+                            lambda s, i: made.append(i) or trajectory_rng(s, i))
+        rngs = core_sde._chunk_rngs(pool, seed, start, start + 8)
+        assert made == list(range(start, start + 8))
+        for i, rng in enumerate(rngs):
+            np.testing.assert_array_equal(
+                rng.standard_normal(7), trajectory_rng(seed, start + i).standard_normal(7))
+
+    def test_negative_seed_is_refused_as_before(self):
+        with pytest.raises(ValueError):
+            simulate_ensemble(vp_model(), tf=0.1, dt=0.05, n_traj=5, base_seed=-1)

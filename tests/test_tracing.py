@@ -56,6 +56,36 @@ def test_demon_layer_metrics_survive_tracing():
     assert layers["demon.clones"] == 1  # one batch state per ensemble chunk
 
 
+def test_ensemble_layer_metrics_survive_tracing():
+    """A two-chunk ensemble builds its first chunk's generators through the
+    shimmed `trajectory_rng` and re-keys them for the second, so the
+    stream count is one chunk plus the trajectory's stream, and the traced
+    draws give the untraced moments."""
+    tracing = _load_tracing()
+    model = core_sde.SDEModel(A0=-np.eye(2), b0=[0.3, -0.2], C0=0.5 * np.eye(2))
+    kwargs = dict(initial_sampler=core_sde.gaussian_initial([1.0, 0.0], np.eye(2)), tf=0.2,
+                  dt=0.01, n_traj=100, base_seed=11, chunk_size=64)
+    plain = core_sde.simulate_ensemble(model, **kwargs)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        traced = core_sde.simulate_ensemble(model, **kwargs)
+        core_sde.simulate_trajectory(model, tf=0.2, dt=0.01, seed=11)
+        core_sde.propagate_moments(model, tf=0.2, dt=0.01)
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer.spans, 0)
+    wanted = sorted(name for name, home in tracing.HOME.items() if home == "ensemble")
+    assert wanted
+    missing = [name for name in wanted if name not in layers]
+    assert not missing, f"traced ensemble jobs produced no {missing}"
+    for name in wanted:
+        assert math.isfinite(layers[name]) and layers[name] > 0, (name, layers[name])
+    assert layers["core_sde.rng_streams"] == 64 + 1
+    np.testing.assert_array_equal(traced.means, plain.means)
+    np.testing.assert_array_equal(traced.covs, plain.covs)
+
+
 def test_gate_and_transient_metrics_survive_tracing():
     """`gates.expm` is shimmed by name on its module, so the dense
     exponentials must still be looked up there; the transient oracle must
