@@ -9,7 +9,6 @@ import numpy as np
 
 from .core_sde import (SDEModel, _check_diverged, _grid, _path, _spd, _vector,
                        trajectory_rng)
-from .demon import ForceDemon
 from .errors import ContractViolationError
 from .gates import GateProgram, constant_schedule
 from .potentials import (DoubleWellPotential, Gaussian, GaussianMixture,
@@ -158,50 +157,56 @@ def _row_products(L, z, scale):
     return out
 
 
-def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
-                 n_steps=10000, dt=1e-2, seed=0, gradient_noise="exact",
-                 noise_cov=None, x0=None, burn_in=0.2):
-    """Underdamped Langevin chain:
-    dx = M^-1 p dt,  dp = -[grad U + B M^-1 p] dt + sqrt(2B) dw.
+def _momentum_chain(force, x, p, Minv, drag, kicks, dt, what, observe=None):
+    """Semi-implicit Euler chain of a force demon on momentum s-modes: step k
+    kicks p <- p + (force(k, x) - drag p) dt + kicks[k], then drifts
+    x <- x + M^-1 p dt (p itself when Minv is None) and hands the new x to
+    observe.  Returns the (steps, n) chain of x; a non-finite or runaway x
+    raises DivergenceError naming ``what`` and its first step k + 1, which
+    ends at t = dt (k + 1)."""
+    chain = np.empty((len(kicks), x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(kicks)):
+            p = p + (force(k, x) - drag @ p) * dt + kicks[k]
+            x = x + (p if Minv is None else Minv @ p) * dt
+            if observe is not None:
+                observe(x)
+            chain[k] = x
+    _check_diverged(chain[:, None], 0, 0, dt * np.arange(1, len(kicks) + 1), what)
+    return chain
 
-    The force comes from a force-based demon whose latent variable is x;
-    'stochastic' gradient mode injects N(0, V) noise onto grad U, with V
-    the SPD matrix noise_cov.
+
+def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
+                 n_steps=10000, dt=1e-2, seed=0, noise_cov=None, x0=None, burn_in=0.2):
+    """Underdamped Langevin chain from p = 0:
+    dx = M^-1 p dt,  dp = -[grad U + B M^-1 p] dt + sqrt(2B) dw,
+    stepped by _momentum_chain with the force -grad U(t, x).
+
+    Given noise_cov (an SPD matrix V), the chain runs in stochastic gradient
+    mode: each step's grad U carries N(0, V) noise, drawn just before that
+    step's kick.  With noise_cov None the gradient is exact.
     """
     n = target.dim
-    demon = ForceDemon(target.potential, mass=mass, x0=_vector(x0, n, "x0"))
+    x = _vector(x0, n, "x0")
+    Minv = np.linalg.inv(_spd(mass, n, "mass matrix")[0])
     B = _spd(friction, n, "friction matrix")[0]
     noise_chol = np.linalg.cholesky(2.0 * B)
-    Minv = demon.mass_inv
     rng = trajectory_rng(seed, 0)
-    if gradient_noise == "stochastic":
-        if noise_cov is None:
-            raise ContractViolationError("stochastic gradient mode needs noise_cov")
+    if noise_cov is None:
+        grad_noise = None
+        kicks = _row_products(noise_chol, rng.standard_normal((n_steps, n)), np.sqrt(dt))
+    else:
         grad_chol = _spd(noise_cov, n, "gradient noise covariance")[1]
-    elif gradient_noise != "exact":
-        raise ContractViolationError("gradient_noise must be 'exact' or 'stochastic'")
-
-    p = np.zeros(n)
-    chain = np.empty((n_steps, n))
-    drag = B @ Minv
-    if gradient_noise == "stochastic":
         # Each step's gradient noise comes before its kick in the stream.
         z = rng.standard_normal((n_steps, 2, n))
         grad_noise = _row_products(grad_chol, z[:, 0], 1.0)
         kicks = _row_products(noise_chol, z[:, 1], np.sqrt(dt))
-    else:
-        kicks = _row_products(noise_chol, rng.standard_normal((n_steps, n)), np.sqrt(dt))
-    for k in range(n_steps):
-        force = demon.force(k * dt)
-        if not np.isfinite(force).all():
-            chain[k:] = np.nan  # the force overflowed: no later state is defined
-            break
-        if gradient_noise == "stochastic":
-            force = force - grad_noise[k]
-        p = p + (force - drag @ p) * dt + kicks[k]
-        demon.advance(k * dt, p, None, dt)
-        chain[k] = demon.x
-    _check_diverged(chain[:, None], 0, 0, dt * np.arange(1, n_steps + 1), "sghmc chain")
+
+    def force(k, x):
+        f = -np.asarray(target.potential.gradient(k * dt, x), dtype=float)
+        return f if grad_noise is None else f - grad_noise[k]
+
+    chain = _momentum_chain(force, x, np.zeros(n), Minv, B @ Minv, kicks, dt, "sghmc chain")
     return _burn(chain, burn_in)
 
 
@@ -308,31 +313,30 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
 
 def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
            lam=1.0, x0=None, p0=None, burn_in=0.2):
-    """SDE annealer targeting exp(-lam L):
+    """SDE annealer targeting exp(-lam L), stepped by _momentum_chain:
     dx = p dt,  dp = -lam grad L dt - (1/2) D p dt + S dW,  D = S S^T.
 
-    Returns (best x seen, post-burn-in x chain)."""
+    Returns (best x seen, post-burn-in x chain); the first strict minimum
+    of lam L wins, and a NaN loss never does."""
     n = loss.dim
     S = np.eye(n) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
-    if S.shape != (n, n) or not np.allclose(S, np.tril(S)):
-        raise ContractViolationError(f"S must be a lower-triangular {n}x{n} matrix")
     if not np.all(np.isfinite(S)):
         raise ContractViolationError("S must be finite")
-    D = S @ S.T
+    if S.shape != (n, n) or not np.allclose(S, np.tril(S)):
+        raise ContractViolationError(f"S must be a lower-triangular {n}x{n} matrix")
     rng = trajectory_rng(seed, 0)
     x, p = _vector(x0, n, "x0"), _vector(p0, n, "p0")
     best_x, best_val = x.copy(), lam * loss.U(x)
-    chain = np.empty((n_steps, n))
-    half_D = 0.5 * D
-    kicks = _row_products(S, rng.standard_normal((n_steps, n)), np.sqrt(dt))
-    for k in range(n_steps):
-        p = p + (-lam * loss.grad_U(x) - half_D @ p) * dt + kicks[k]
-        x = x + p * dt
+
+    def observe(x):
+        nonlocal best_x, best_val
         val = lam * loss.U(x)
         if val < best_val:
             best_val, best_x = val, x
-        chain[k] = x
-    _check_diverged(chain[:, None], 0, 0, dt * np.arange(1, n_steps + 1), "anneal chain")
+
+    kicks = _row_products(S, rng.standard_normal((n_steps, n)), np.sqrt(dt))
+    chain = _momentum_chain(lambda k, x: -lam * loss.grad_U(x), x, p, None, 0.5 * (S @ S.T),
+                            kicks, dt, "anneal chain", observe)
     return best_x, _burn(chain, burn_in)
 
 

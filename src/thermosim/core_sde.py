@@ -212,22 +212,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GaussianMoments:
+    """Mean and covariance of the state at time t, as propagate_moments
+    computes them."""
+
     t: float
     mean: np.ndarray
     cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _spd(self.cov, mean.size, "cov", psd=True)[0])
-
-    @classmethod
-    def _unchecked(cls, t, mean, cov):
-        """Moments the caller has already checked or computed: no _spd pass."""
-        self = object.__new__(cls)
-        for name, value in (("t", t), ("mean", mean), ("cov", cov)):
-            object.__setattr__(self, name, value)
-        return self
 
 
 @dataclass
@@ -582,7 +572,7 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
 
     # Coefficients are evaluated once per distinct time: k2 and k3 share the
     # midpoint, and k4's t + dt is the next step's start.
-    out = [GaussianMoments._unchecked(t0, mu, cov)]
+    out = [GaussianMoments(t0, mu, cov)]
     t, start = t0, coefficients(t0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
@@ -595,7 +585,7 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
             cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
             cov = (cov + cov.T) / 2
             t, start = t + dt, end
-            out.append(GaussianMoments._unchecked(t, mu, cov))
+            out.append(GaussianMoments(t, mu, cov))
     def finite(g):
         return np.all(np.isfinite(g.mean)) and np.all(np.isfinite(g.cov))
 

@@ -134,13 +134,18 @@ def dsm_loss(score_net: ScoreNetworkDemon, data_batch, vp_schedule: VPSchedule,
     sigma = np.sqrt(var)
     Z = rng.standard_normal((batch, dim))
     Xt = alpha[:, None] * X0 + sigma[:, None] * Z
-    target = -Z / sigma[:, None]
+    return _weighted_dsm(score_net, ts, Xt, -Z / sigma[:, None], var, with_grads)
+
+
+def _weighted_dsm(score_net, ts, Xt, target, weight, with_grads=True):
+    """mean(weight |s(x_t, t) - target|^2) over a batch and, with with_grads,
+    its flat gradients in the network's parameters."""
     S, cache = score_net.forward_with_cache(ts, Xt)
     resid = S - target
-    loss = float(np.mean(var * np.sum(resid ** 2, axis=1)))
+    loss = float(np.mean(weight * np.sum(resid ** 2, axis=1)))
     if not with_grads:
         return loss
-    dS = 2.0 * var[:, None] * resid / batch
+    dS = 2.0 * weight[:, None] * resid / len(Xt)
     dWs, dbs = score_net.net.backward(cache, dS)
     return loss, score_net.net.flat_grads(dWs, dbs)
 
@@ -178,13 +183,7 @@ def kernel_dsm_objective(data_sampler, vp_schedule: VPSchedule, batch_size: int,
         mean = np.einsum("bij,bj->bi", Ms[idx], X0)
         Xt = mean + np.einsum("bij,bj->bi", chols[idx], Z)
         target = -np.einsum("bij,bj->bi", precs[idx], Xt - mean)
-        weight = weights[idx] / dim
-        S, cache = demon.forward_with_cache(ts, Xt)
-        resid = S - target
-        loss = float(np.mean(weight * np.sum(resid ** 2, axis=1)))
-        dS = 2.0 * weight[:, None] * resid / batch
-        dWs, dbs = demon.net.backward(cache, dS)
-        return loss, demon.net.flat_grads(dWs, dbs)
+        return _weighted_dsm(demon, ts, Xt, target, weights[idx] / dim)
 
     return objective
 

@@ -184,14 +184,12 @@ class TestSGHMC:
         tv = 0.5 * np.sum(np.abs(hist - ref)) * width
         assert tv < 0.08
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raised_with_first_bad_step(self):
         # With no force, dt = 3 makes the momentum update p <- -2 p + noise.
         flat = TargetDistribution("flat", 1, _ZeroPotential())
         with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step \d+, t="):
             sghmc_sample(flat, n_steps=2000, dt=3.0, seed=0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_carries_step_and_time(self):
         flat = TargetDistribution("flat", 1, _ZeroPotential())
         with pytest.raises(DivergenceError) as info:
@@ -201,11 +199,14 @@ class TestSGHMC:
         assert err.t == pytest.approx(3.0 * err.step)
         assert err.trajectory == 0 and err.max_abs > DIVERGENCE_LIMIT
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_force_is_a_divergence(self):
-        # The double-well force 4x^3 overflows before the position does.
-        with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step \d+, t="):
+        # x passes DIVERGENCE_LIMIT at step 4 (|x| ~ 7e15); the force 4x^3
+        # overflows at step 7 and later states are NaN, but the first step
+        # past the limit is the one named.
+        with pytest.raises(DivergenceError, match=r"^sghmc chain diverged at step 4, t=2$") \
+                as info:
             sghmc_sample(double_well_target(1), dt=0.5, seed=0, x0=[2.0])
+        assert (info.value.step, info.value.t) == (4, 2.0)
 
     def test_zero_gradient_momentum_is_ou(self):
         """With grad U = 0 and B = I the momentum is an OU process and x an
@@ -227,20 +228,18 @@ class TestSGHMC:
             sghmc_sample(target, mass=[[-1.0]], n_steps=10, seed=0)
 
     @pytest.mark.parametrize("noise_cov, words", [
-        (None, "needs noise_cov"),
+        (-np.eye(2), "gradient noise covariance must be SPD"),
         (np.eye(3), "gradient noise covariance must be 2x2"),
         ([[1.0, 0.5], [0.0, 1.0]], "gradient noise covariance must be symmetric"),
     ])
     def test_misfit_noise_cov_rejected(self, noise_cov, words):
         target = gaussian_target([0.0, 0.0], np.eye(2))
         with pytest.raises(ContractViolationError, match=words):
-            sghmc_sample(target, n_steps=10, seed=0, gradient_noise="stochastic",
-                         noise_cov=noise_cov)
+            sghmc_sample(target, n_steps=10, seed=0, noise_cov=noise_cov)
 
     def test_stochastic_gradient_mode_runs(self):
         target = gaussian_target([0.0], [[1.0]])
-        chain = sghmc_sample(target, n_steps=20000, dt=0.05, seed=2,
-                             gradient_noise="stochastic", noise_cov=[[0.01]])
+        chain = sghmc_sample(target, n_steps=20000, dt=0.05, seed=2, noise_cov=[[0.01]])
         assert abs(chain.var() - 1.0) < 0.2
 
 
@@ -364,7 +363,6 @@ class TestAnneal:
             occ.append(np.mean(vals))
         assert occ[0] < occ[1] < occ[2]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raised_with_first_bad_step(self):
         with pytest.raises(DivergenceError, match=r"^anneal chain diverged at step \d+, t="):
             anneal(double_well_target(2), n_steps=200, dt=0.5, seed=1)
@@ -374,6 +372,10 @@ class TestAnneal:
         with pytest.raises(ContractViolationError):
             anneal(target, S=np.array([[1.0, 0.5], [0.0, 1.0]]), n_steps=10,
                    seed=0)
+
+    def test_nonfinite_S_rejected_before_its_shape(self):
+        with pytest.raises(ContractViolationError, match="^S must be finite$"):
+            anneal(double_well_target(2), S=[[np.nan, 0.0], [0.0, 1.0]], n_steps=10, seed=0)
 
 
 @pytest.mark.parametrize("name, run", [

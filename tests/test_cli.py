@@ -263,7 +263,6 @@ class TestSamplers:
         metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert "best_x" in metrics
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_anneal_divergence_exit_3(self, tmp_path):
         cfg = {"seed": 1, "loss": {"kind": "double_well", "dim": 2}, "dt": 0.5,
                "output_dir": str(tmp_path / "o")}
@@ -271,7 +270,6 @@ class TestSamplers:
         assert result.exit_code == 3
         assert not (tmp_path / "o" / "metrics.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sghmc_divergence_exit_3(self, tmp_path):
         cfg = {"seed": 0, "target": {"kind": "double_well", "dim": 1}, "dt": 0.5,
                "x0": [2.0], "output_dir": str(tmp_path / "o")}

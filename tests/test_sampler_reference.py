@@ -145,7 +145,7 @@ def test_sghmc_stochastic_gradient_matches_loop(noise_cov, friction, exact):
     """Each step's gradient noise is drawn before its kick, as before."""
     target = _mixture()
     new = sghmc_sample(target, friction=friction, n_steps=STEPS, dt=0.1, seed=4,
-                       gradient_noise="stochastic", noise_cov=noise_cov, burn_in=0.0)
+                       noise_cov=noise_cov, burn_in=0.0)
     old = sghmc_loop(target, None, friction, STEPS, 0.1, 4, "stochastic", noise_cov)
     _assert_same(new, old, exact)
 
