@@ -227,9 +227,10 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
     if minibatch_model is None:
         kicks = rng.standard_normal((n_steps, n))
         kicks *= np.sqrt(eps)[:, None]
-        for k in range(n_steps):
-            theta = theta - half[k] * target.grad_U(theta) + kicks[k]
-            chain[k] = theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                theta = theta - half[k] * target.grad_U(theta) + kicks[k]
+                chain[k] = theta
     else:
         # The minibatch draws interleave with the injected noise in the stream.
         for k in range(n_steps):
@@ -380,18 +381,19 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
     Ws = np.empty((n_steps + 1, spec.weight_dim))
     Hs[0], Ws[0] = H, w
     kicks = rng.standard_normal((n_steps, spec.weight_dim))
-    kicks *= spec.sigma * np.sqrt(dt)
     t = 0.0
-    for k in range(n_steps):
-        if mode == "prior":
-            drift_w = np.zeros_like(w) if spec.f_w is None else \
-                np.asarray(spec.f_w(t, w), dtype=float)
-        else:
-            drift_w = np.asarray(spec.posterior_net(t, w), dtype=float) + w
-        H = H + np.asarray(spec.f_h(t, H, w), dtype=float) * dt
-        w = w + drift_w * dt + kicks[k]
-        t += dt
-        Hs[k + 1], Ws[k + 1] = H, w
+    with np.errstate(over="ignore", invalid="ignore"):
+        kicks *= spec.sigma * np.sqrt(dt)
+        for k in range(n_steps):
+            if mode == "prior":
+                drift_w = np.zeros_like(w) if spec.f_w is None else \
+                    np.asarray(spec.f_w(t, w), dtype=float)
+            else:
+                drift_w = np.asarray(spec.posterior_net(t, w), dtype=float) + w
+            H = H + np.asarray(spec.f_h(t, H, w), dtype=float) * dt
+            w = w + drift_w * dt + kicks[k]
+            t += dt
+            Hs[k + 1], Ws[k + 1] = H, w
     times = dt * np.arange(n_steps + 1)
     _check_diverged(np.concatenate([Hs[1:].reshape(n_steps, 1, -1), Ws[1:, None]], axis=2),
                     0, 0, times[1:])

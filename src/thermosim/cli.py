@@ -265,15 +265,16 @@ def simulate(cfg, out):
             sampler = gaussian_initial(v0, cov0)
         except ContractViolationError as exc:
             raise ConfigError(f"config field initial.cov: {exc}") from None
-    traj = simulate_trajectory(model, program, None, v0, t0, tf, dt, seed)
-    traj.to_csv(out / "trajectory.csv")
-    summary = simulate_ensemble(model, program, None, sampler, t0, tf, dt,
-                                _get(cfg, "n_traj", 1, kind=int), seed)
-    summary.to_json(out / "moments.json")
+    # Each result is written and dropped before the next is made, so the
+    # peak holds one artifact's arrays at a time.
+    simulate_trajectory(model, program, None, v0, t0, tf, dt, seed).to_csv(
+        out / "trajectory.csv")
+    simulate_ensemble(model, program, None, sampler, t0, tf, dt,
+                      _get(cfg, "n_traj", 1, kind=int), seed).to_json(out / "moments.json")
     oracle = propagate_moments(model, program, v0, cov0, t0, tf, dt)
     write_compact_json(out / "oracle_moments.json", {
-        "times": [m.t for m in oracle], "mean": [m.mean.tolist() for m in oracle],
-        "cov": [m.cov.tolist() for m in oracle]})
+        "times": np.array([m.t for m in oracle]), "mean": np.array([m.mean for m in oracle]),
+        "cov": np.array([m.cov for m in oracle])})
     return ["trajectory.csv", "moments.json", "oracle_moments.json"]
 
 

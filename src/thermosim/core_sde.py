@@ -26,13 +26,13 @@ DIVERGENCE_LIMIT = 1e12
 # most NOISE_BLOCK_STEPS rows per stream: longer draws no longer amortize the
 # per-call cost, so they would only cost memory.  When the byte budget limits
 # the block, each draw call fills NOISE_BLOCK_BYTES / (8 * chunk) values per
-# stream: 1 024 at the default chunk of 1 024 streams.  Longer calls are
+# stream: 1 024 at the default chunk of 512 streams.  Longer calls are
 # cheaper per normal (best of 7 over 1 024 Philox streams on a 2-vCPU x86 VM:
 # 23.6 ns at 512 per call, 21.0 at 1 024, 20.5 at 2 048), which pays for
 # stepping narrower chunks.  States are stepped in sub-blocks of
 # SUB_BLOCK_BYTES, small enough to stay in cache between the noise map and
-# the step loop.
-NOISE_BLOCK_BYTES = 8 * 2 ** 20
+# the step loop.  Artifacts are formatted CSV_BLOCK_VALUES values at a time.
+NOISE_BLOCK_BYTES = 4 * 2 ** 20
 NOISE_BLOCK_STEPS = 512
 SUB_BLOCK_BYTES = 2 ** 20
 CSV_BLOCK_VALUES = 512
@@ -59,11 +59,35 @@ def write_csv(path, rows, header=None):
 
 
 def write_compact_json(path, doc):
-    """Write ``doc`` as one line of JSON, refusing NaN and infinities.
+    """Write ``doc`` as one line of JSON: the bytes of json.dumps(doc) with
+    each ndarray as its tolist().  An ndarray, as ``doc`` or as a value of a
+    dict ``doc`` with string keys, is formatted and written in row blocks of
+    about CSV_BLOCK_VALUES values, so a long array is never held as Python
+    floats or as one string.  NaN and infinities raise ValueError.
     json.dumps runs the C encoder; json.dump always runs the pure-Python
-    one.  Both write the same bytes."""
+    one."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, allow_nan=False))
+        if isinstance(doc, dict):
+            fh.write("{")
+            for i, (key, value) in enumerate(doc.items()):
+                fh.write((", " if i else "") + json.dumps(key) + ": ")
+                _write_json_value(fh, value)
+            fh.write("}")
+        else:
+            _write_json_value(fh, doc)
+
+
+def _write_json_value(fh, value):
+    if not isinstance(value, np.ndarray) or value.ndim == 0:
+        fh.write(json.dumps(value, allow_nan=False))
+        return
+    rows = max(1, CSV_BLOCK_VALUES * len(value) // max(1, value.size))
+    fh.write("[")
+    for start in range(0, len(value), rows):
+        # Each block is a list of rows; its brackets are the array's own.
+        block = json.dumps(value[start:start + rows].tolist(), allow_nan=False)
+        fh.write((", " if start else "") + block[1:-1])
+    fh.write("]")
 
 
 def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
@@ -231,8 +255,8 @@ class EnsembleSummary:
     final_states: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self, path):
-        write_compact_json(path, {"n_traj": self.n_traj, "times": self.times.tolist(),
-                                  "mean": self.means.tolist(), "cov": self.covs.tolist()})
+        write_compact_json(path, {"n_traj": self.n_traj, "times": self.times,
+                                  "mean": self.means, "cov": self.covs})
 
 
 def _vector(v, n, name):
@@ -463,7 +487,7 @@ def gaussian_initial(mean, cov):
 
 def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler=None,
                       t0=0.0, tf=1.0, dt=1e-2, n_traj=1, base_seed=0,
-                      chunk_size=1024, keep_final=False) -> EnsembleSummary:
+                      chunk_size=512, keep_final=False) -> EnsembleSummary:
     """Integrate `n_traj` independent trajectories and summarize their moments.
 
     Trajectory i draws the stream of trajectory_rng(base_seed, i).  The
@@ -481,7 +505,7 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     Noise is drawn in time blocks into one buffer of chunk x block x N values,
     at most NOISE_BLOCK_BYTES whatever n_steps is, so that when the byte
     budget sets the block each stream draws NOISE_BLOCK_BYTES / (8 chunk)
-    values per call: 1 024 at the default chunk of 1 024.  The noise block
+    values per call: 1 024 at the default chunk of 512 (4 MiB).  The noise block
     and the state buffers are allocated once per call, reused by every chunk
     including a partial last one, and freed before the moments are formed.
     """

@@ -237,12 +237,8 @@ class ForceDemon(Demon):
         return central_difference_gradient(
             lambda y: self.potential.value(t, y), x, h=self.fd_step)
 
-    def force(self, t):
-        """-grad U(t, x) at the current latent, without the finiteness check."""
-        return -self._grad(t, self.x)
-
     def query(self, t, v, dv_dt=None):
-        force = self.force(t)
+        force = -self._grad(t, self.x)
         if not np.all(np.isfinite(force)):
             raise ContractViolationError("demon output not finite")
         return force

@@ -278,7 +278,6 @@ class TestSGLD:
         increments = np.diff(np.concatenate([[0.0], chain[:, 0]]))
         assert abs(increments.var() - eps) / eps < 0.05
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raised_with_first_bad_step(self):
         # eps = 2.5 makes the quadratic update theta <- -0.25 theta + noise
         # stable, eps = 10 makes it theta <- -4 theta + noise.

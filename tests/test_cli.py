@@ -376,7 +376,6 @@ class TestRollouts:
         h = run_twice_and_compare(tmp_path, "nsde-rollout", cfg)
         assert set(h) == {"weights.csv", "hidden_final.csv"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nsde_rollout_divergence_exit_3(self, tmp_path):
         cfg = {"seed": 1, "hidden_dim": 2, "T": 1.0, "dt": 0.01, "sigma": 1e308,
                "weight_drift": "zero", "inputs": [[1, 2], [3, 4]],

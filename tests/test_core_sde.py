@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from thermosim import (AnalyticScoreDemon, ContractViolationError,
                        DivergenceError, GateProgram, GateSegment, Generator,
-                       SDEModel, Schedule, TotalDerivativeDemon, core_sde,
+                       SDEModel, Schedule, ScoreNetworkDemon,
+                       TotalDerivativeDemon, core_sde,
                        fixed_initial, gaussian_initial, propagate_moments,
                        simulate_ensemble, simulate_trajectory,
                        stationary_covariance, trajectory_rng)
@@ -297,8 +298,8 @@ class TestBlockStepper:
 
 
     def test_footprint_of_a_chunked_ensemble(self):
-        """2 048 trajectories at N = 4 run as two chunks of 1 024 through one
-        8 MiB noise block; with a block per chunk, or a 16 MiB block over one
+        """2 048 trajectories at N = 4 run as four chunks of 512 through one
+        4 MiB noise block; with a block per chunk, or a 16 MiB block over one
         2 048-wide chunk, the peak passed 20 MiB."""
         model = SDEModel(A0=-np.eye(4), b0=np.zeros(4), C0=np.eye(4))
         tracemalloc.start()
@@ -516,3 +517,52 @@ class TestChunkStreams:
     def test_negative_seed_is_refused_as_before(self):
         with pytest.raises(ValueError):
             simulate_ensemble(vp_model(), tf=0.1, dt=0.05, n_traj=5, base_seed=-1)
+
+
+def _as_lists(doc):
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+class TestCompactJson:
+    """write_compact_json streams arrays in row blocks, and writes what
+    json.dumps writes for the same document with the arrays as lists."""
+
+    @pytest.mark.parametrize("doc", [
+        {"v": np.linspace(-1.0, 1.0, 1500)},
+        {"n": 3, "m": np.arange(1200.0).reshape(300, 4) / 7, "s": "x"},
+        {"times": np.arange(301) * 1e-3, "cov": np.sin(np.arange(4816.0)).reshape(301, 4, 4)},
+        {"empty": np.empty(0), "rows": np.empty((0, 4)), "cols": np.empty((3, 0))},
+        {"scalar": 2.5, "int": 7, "none": None, "list": [[1.5, 2.0]]},
+        np.arange(1030.0).reshape(515, 2),
+        ScoreNetworkDemon(2, hidden=(8, 8), seed=1).to_dict(),
+    ], ids=["1d", "2d", "3d", "empty", "scalar", "bare", "nested"])
+    def test_bytes_match_json_dumps(self, doc, tmp_path):
+        core_sde.write_compact_json(tmp_path / "a.json", doc)
+        assert (tmp_path / "a.json").read_text() == json.dumps(_as_lists(doc))
+
+    @pytest.mark.parametrize("doc", [{"cov": np.r_[np.zeros(2000), np.nan]},
+                                     {"a": np.ones(3), "b": float("inf")}],
+                             ids=["array", "scalar"])
+    def test_non_finite_raises(self, doc, tmp_path):
+        with pytest.raises(ValueError):
+            core_sde.write_compact_json(tmp_path / "n.json", doc)
+
+    def test_long_summary_is_written_in_small_memory(self, tmp_path):
+        """A 20 001-step N = 4 summary holds 3.2 MiB of arrays; as nested
+        lists and one string it took 36.4 MiB to write."""
+        rng = np.random.default_rng(0)
+        steps = 20001
+        summary = core_sde.EnsembleSummary(64, np.arange(steps) * 1e-3,
+                                           rng.standard_normal((steps, 4)),
+                                           rng.standard_normal((steps, 4, 4)))
+        tracemalloc.start()
+        try:
+            summary.to_json(tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        np.testing.assert_array_equal(doc["cov"], summary.covs)

@@ -44,7 +44,7 @@ def sghmc_loop(target, mass, friction, n_steps, dt, seed, gradient_noise="exact"
     chain = np.empty((n_steps, n))
     sqdt = np.sqrt(dt)
     for k in range(n_steps):
-        force = demon.force(k * dt)
+        force = demon.query(k * dt, None)
         if gradient_noise == "stochastic":
             force = force - grad_chol @ rng.standard_normal(n)
         p = p + (force - B @ (Minv @ p)) * dt + noise_chol @ rng.standard_normal(n) * sqdt
