@@ -11,8 +11,8 @@ from .circuit import (AdjacencyMatrix, Cell, Coupling, NoiseSourceSpec,
                       RCNetlist, apply_adjacency, compile_network,
                       compile_rc_cell, shot_noise_amplitude,
                       thermal_noise_amplitude)
-from .core_sde import (EnsembleSummary, GaussianMoments, SDEModel, Trajectory,
-                       fixed_initial, gaussian_initial, propagate_moments,
+from .core_sde import (EnsembleSummary, GaussianMoments, MomentPath, SDEModel,
+                       Trajectory, fixed_initial, gaussian_initial, propagate_moments,
                        simulate_ensemble, simulate_trajectory,
                        stationary_covariance, trajectory_rng)
 from .demon import (AnalyticScoreDemon, Demon, ForceDemon, ScoreNetworkDemon,

@@ -27,7 +27,7 @@ from .apps import (DiffusionSpec, NSDESpec, anneal, diffusion_reverse,
 from .circuit import RCNetlist, compile_network, compile_rc_cell
 from .core_sde import (SDEModel, fixed_initial, gaussian_initial,
                        propagate_moments, simulate_ensemble,
-                       simulate_trajectory, write_compact_json, write_csv)
+                       simulate_trajectory, write_csv)
 from .demon import AnalyticScoreDemon, ScoreNetworkDemon
 from .errors import ConfigError, ContractViolationError, DivergenceError
 from .gates import program_from_json
@@ -271,10 +271,7 @@ def simulate(cfg, out):
         out / "trajectory.csv")
     simulate_ensemble(model, program, None, sampler, t0, tf, dt,
                       _get(cfg, "n_traj", 1, kind=int), seed).to_json(out / "moments.json")
-    oracle = propagate_moments(model, program, v0, cov0, t0, tf, dt)
-    write_compact_json(out / "oracle_moments.json", {
-        "times": np.array([m.t for m in oracle]), "mean": np.array([m.mean for m in oracle]),
-        "cov": np.array([m.cov for m in oracle])})
+    propagate_moments(model, program, v0, cov0, t0, tf, dt).to_json(out / "oracle_moments.json")
     return ["trajectory.csv", "moments.json", "oracle_moments.json"]
 
 

@@ -60,12 +60,12 @@ def write_csv(path, rows, header=None):
 
 def write_compact_json(path, doc):
     """Write ``doc`` as one line of JSON: the bytes of json.dumps(doc) with
-    each ndarray as its tolist().  An ndarray, as ``doc`` or as a value of a
-    dict ``doc`` with string keys, is formatted and written in row blocks of
-    about CSV_BLOCK_VALUES values, so a long array is never held as Python
-    floats or as one string.  NaN and infinities raise ValueError.
-    json.dumps runs the C encoder; json.dump always runs the pure-Python
-    one."""
+    each ndarray or numpy scalar, as ``doc`` or as a value of a dict ``doc``
+    with string keys, as its tolist().  Such an ndarray is formatted and
+    written in row blocks of about CSV_BLOCK_VALUES values, so a long array
+    is never held as Python floats or as one string.  NaN and infinities
+    raise ValueError.  json.dumps runs the C encoder; json.dump always runs
+    the pure-Python one."""
     with open(path, "w") as fh:
         if isinstance(doc, dict):
             fh.write("{")
@@ -78,7 +78,9 @@ def write_compact_json(path, doc):
 
 
 def _write_json_value(fh, value):
-    if not isinstance(value, np.ndarray) or value.ndim == 0:
+    if isinstance(value, np.generic) or isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.tolist()
+    if not isinstance(value, np.ndarray):
         fh.write(json.dumps(value, allow_nan=False))
         return
     rows = max(1, CSV_BLOCK_VALUES * len(value) // max(1, value.size))
@@ -236,8 +238,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GaussianMoments:
-    """Mean and covariance of the state at time t, as propagate_moments
-    computes them."""
+    """Mean and covariance of the state at time t: one row of a MomentPath."""
 
     t: float
     mean: np.ndarray
@@ -245,18 +246,43 @@ class GaussianMoments:
 
 
 @dataclass
-class EnsembleSummary:
-    """Per-grid-time empirical moments of an ensemble of trajectories."""
+class MomentPath:
+    """Gaussian moments on a time grid, as arrays: times (T,), means (T, N)
+    and covs (T, N, N), symmetric.  propagate_moments returns one and
+    simulate_ensemble an EnsembleSummary.  len(path) is T, path[k] is row k
+    as a GaussianMoments of views, and a slice is a MomentPath of views;
+    iterating (through __getitem__) yields the rows in order."""
 
-    n_traj: int
     times: np.ndarray
-    means: np.ndarray  # (T, N)
-    covs: np.ndarray  # (T, N, N), symmetric by construction
-    final_states: np.ndarray | None = field(default=None, repr=False)
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return MomentPath(self.times[k], self.means[k], self.covs[k])
+        return GaussianMoments(float(self.times[k]), self.means[k], self.covs[k])
+
+    def _doc(self):
+        return {"times": self.times, "mean": self.means, "cov": self.covs}
 
     def to_json(self, path):
-        write_compact_json(path, {"n_traj": self.n_traj, "times": self.times,
-                                  "mean": self.means, "cov": self.covs})
+        write_compact_json(path, self._doc())
+
+
+@dataclass
+class EnsembleSummary(MomentPath):
+    """The per-grid-time empirical moments of an ensemble of n_traj
+    trajectories, and its final states (n_traj, N) when kept.  Its JSON
+    leads with n_traj."""
+
+    n_traj: int
+    final_states: np.ndarray | None = field(default=None, repr=False)
+
+    def _doc(self):
+        return {"n_traj": self.n_traj, **super()._doc()}
 
 
 def _vector(v, n, name):
@@ -548,40 +574,52 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
                        start, stop, accumulate, workspace)
         if keep_final:
             finals[start:stop] = V
-    # The moment arithmetic below makes (n_steps, N, N) temporaries; without
-    # the buffers alive beside them the peak does not grow with n_steps.
     del workspace, work
 
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = tf
-    d = sum_d / n_traj
-    means = shift + d
+    # The sums become d, the means and the covariances in place, one (T,)
+    # column at a time, by the operations of the whole-array form; a
+    # diagonal entry's (c + c) / 2 is c itself.
+    d = np.divide(sum_d, n_traj, out=sum_d)
+    means = np.add(shift, d, out=shift)
+    covs = sum_dd
     if n_traj > 1:
-        covs = (sum_dd - n_traj * np.einsum("ti,tj->tij", d, d)) / (n_traj - 1)
-        covs = (covs + np.transpose(covs, (0, 2, 1))) / 2
+        for i in range(n):
+            for j in range(n):
+                covs[:, i, j] -= n_traj * (d[:, i] * d[:, j])
+        covs /= n_traj - 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                covs[:, i, j] = covs[:, j, i] = (covs[:, i, j] + covs[:, j, i]) / 2
     else:
-        covs = np.zeros((n_steps + 1, n, n))
-    return EnsembleSummary(n_traj, times, means, covs, final_states=finals)
+        covs.fill(0.0)
+    return EnsembleSummary(times, means, covs, int(n_traj), finals)
 
 
 def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
-                      t0=0.0, tf=1.0, dt=1e-2) -> list[GaussianMoments]:
-    """Integrate the exact Gaussian moment ODEs with classical RK4.
+                      t0=0.0, tf=1.0, dt=1e-2) -> MomentPath:
+    """Integrate the exact Gaussian moment ODEs with classical RK4 into a
+    MomentPath.
 
     mu' = A mu + b,  Sigma' = A Sigma + Sigma A^T + C C^T.  Fourth-order in
     dt, so this serves as an oracle strictly more accurate than the sampler
     on the same grid.  Demon terms are not modeled (linear models only).
 
-    mu0 and cov0 are checked once; each step's moments are new arrays the
-    loop itself has symmetrised, so they are returned without a second
+    mu0 and cov0 are checked once; each step writes its moments, which the
+    loop itself has symmetrised, into preallocated rows without a second
     check.  Without a program C C^T is formed once.  Moments that overflow
     raise DivergenceError naming the first step and time whose mean or
     covariance is non-finite.
     """
     n_steps = _grid(t0, tf, dt)
     n = model.dim
-    mu = _vector(mu0, n, "mu0").copy()
-    cov = _spd(np.zeros((n, n)) if cov0 is None else cov0, n, "cov0", psd=True)[0].copy()
+    times = np.empty(n_steps + 1)
+    means = np.empty((n_steps + 1, n))
+    covs = np.empty((n_steps + 1, n, n))
+    times[0] = t0
+    means[0] = _vector(mu0, n, "mu0")
+    covs[0] = _spd(np.zeros((n, n)) if cov0 is None else cov0, n, "cov0", psd=True)[0]
 
     def coefficients(t):
         A, b, C, _ = model.coefficients(t) if program is None else program.coefficients(model, t)
@@ -596,31 +634,29 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
 
     # Coefficients are evaluated once per distinct time: k2 and k3 share the
     # midpoint, and k4's t + dt is the next step's start.
-    out = [GaussianMoments(t0, mu, cov)]
     t, start = t0, coefficients(t0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
+        for k in range(n_steps):
+            mu, cov = means[k], covs[k]
             mid, end = coefficients(t + dt / 2), coefficients(t + dt)
             k1m, k1c = rhs(*start, mu, cov)
             k2m, k2c = rhs(*mid, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
             k3m, k3c = rhs(*mid, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
             k4m, k4c = rhs(*end, mu + dt * k3m, cov + dt * k3c)
-            mu = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            means[k + 1] = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
             cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-            cov = (cov + cov.T) / 2
+            covs[k + 1] = (cov + cov.T) / 2
             t, start = t + dt, end
-            out.append(GaussianMoments(t, mu, cov))
-    def finite(g):
-        return np.all(np.isfinite(g.mean)) and np.all(np.isfinite(g.cov))
+            times[k + 1] = t
 
     # A non-finite entry stays non-finite in every later step, so the last
-    # step tells whether any step overflowed.
-    if not finite(out[-1]):
-        k = next(k for k, g in enumerate(out) if not finite(g))
-        raise DivergenceError(f"moment oracle diverged at step {k}, t={out[k].t:g}", step=k,
-                              t=float(out[k].t),
-                              max_abs=float(np.max(np.abs(np.append(out[k].mean, out[k].cov)))))
-    return out
+    # row tells whether any step overflowed.
+    if not (np.all(np.isfinite(means[-1])) and np.all(np.isfinite(covs[-1]))):
+        k = int(np.argmax(~np.isfinite(means).all(axis=1) | ~np.isfinite(covs).all(axis=(1, 2))))
+        raise DivergenceError(f"moment oracle diverged at step {k}, t={times[k]:g}", step=k,
+                              t=float(times[k]),
+                              max_abs=float(np.max(np.abs(np.append(means[k], covs[k])))))
+    return MomentPath(times, means, covs)
 
 
 def stationary_covariance(model: SDEModel) -> np.ndarray:

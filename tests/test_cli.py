@@ -87,6 +87,26 @@ class TestSimulate:
         assert oracle["cov"][0] == cfg["initial"]["cov"]
         assert oracle["mean"][0] == cfg["initial"]["mean"]
 
+    def test_oracle_bytes_are_its_stacked_rows(self, tmp_path):
+        """oracle_moments.json holds the oracle's rows stacked into three
+        arrays, written by write_compact_json, as when the oracle was a list."""
+        A0, b0 = [[-1.0, 0.3, 0.0], [0.1, -0.7, 0.2], [0.0, -0.2, -0.4]], [0.2, -0.1, 0.5]
+        C0 = [[0.5, 0.0, 0.0], [0.1, 0.3, 0.0], [0.0, 0.2, 0.6]]
+        cfg = {"seed": 2, "model": {"A0": A0, "b0": b0, "C0": C0},
+               "t0": 0.1, "tf": 0.6, "dt": 0.01, "n_traj": 5,
+               "initial": {"kind": "gaussian", "mean": [1.0, -2.0, 0.5],
+                           "cov": [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 0.3]]},
+               "output_dir": str(tmp_path / "o")}
+        assert run_cli(["simulate", write_config(tmp_path, "c.yaml", cfg)]).exit_code == 0
+        rows = core_sde.propagate_moments(core_sde.SDEModel(A0, b0, C0), None,
+                                          cfg["initial"]["mean"], cfg["initial"]["cov"],
+                                          0.1, 0.6, 0.01)
+        core_sde.write_compact_json(tmp_path / "stacked.json", {
+            "times": np.array([m.t for m in rows]), "mean": np.array([m.mean for m in rows]),
+            "cov": np.array([m.cov for m in rows])})
+        assert ((tmp_path / "o" / "oracle_moments.json").read_bytes()
+                == (tmp_path / "stacked.json").read_bytes())
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = self.cfg()
         out1, out2 = tmp_path / "1", tmp_path / "2"

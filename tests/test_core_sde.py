@@ -25,6 +25,16 @@ def ve_model(dim=1, c0=1.0):
     return SDEModel(A0=np.zeros((dim, dim)), b0=np.zeros(dim), C0=c0 * np.eye(dim))
 
 
+def traced_peak_mib(run):
+    """The tracemalloc peak, in MiB, of calling run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 class TestModelValidation:
     def test_shapes_and_defaults(self):
         m = SDEModel(A0=[[0.0, 1.0], [-1.0, 0.0]], b0=[0.0, 0.0], C0=np.eye(2))
@@ -310,6 +320,15 @@ class TestBlockStepper:
             tracemalloc.stop()
         assert peak < 14.0
 
+    def test_long_ensemble_peaks_near_its_outputs(self):
+        """A 100 001-step, 8-trajectory ensemble at N = 4 returns 16.0 MiB of
+        moments.  Forming them through (n_steps, N, N) temporaries peaked at
+        51.2 MiB; in place in the sums' arrays the peak stays near them."""
+        model = SDEModel(A0=-np.eye(4), b0=np.zeros(4), C0=np.eye(4))
+        peak = traced_peak_mib(lambda: simulate_ensemble(model, tf=100.0, dt=1e-3, n_traj=8,
+                                                          base_seed=3))
+        assert peak < 28.0
+
 
 class TestGaussianInitial:
     @pytest.mark.parametrize("mean, cov, words", [
@@ -419,6 +438,36 @@ class TestPropagateMoments:
             np.testing.assert_array_equal(step.mean, mu)
             np.testing.assert_array_equal(step.cov, cov)
 
+    def test_path_rows_match_its_arrays(self):
+        """The oracle is one MomentPath; len, iteration, indexing, a negative
+        index and a slice give GaussianMoments rows equal to its arrays."""
+        m = SDEModel(A0=[[-1.0, 0.3], [0.0, -0.5]], b0=[0.2, -0.1], C0=np.eye(2))
+        path = propagate_moments(m, mu0=[1.0, -1.0], tf=0.5, dt=0.01)
+        assert isinstance(path, core_sde.MomentPath)
+        assert len(path) == 51 == len(path.times) == len(path.means) == len(path.covs)
+        rows = list(path)
+        assert len(rows) == 51
+        for k, row in enumerate(rows):
+            assert isinstance(row, core_sde.GaussianMoments)
+            assert row.t == path.times[k] and isinstance(row.t, float)
+            np.testing.assert_array_equal(row.mean, path.means[k])
+            np.testing.assert_array_equal(row.cov, path.covs[k])
+            np.testing.assert_array_equal(path[k].cov, row.cov)
+        assert path[-1].t == path.times[50]
+        np.testing.assert_array_equal(path[-1].cov, path.covs[50])
+        tail = path[1:]
+        assert len(tail) == 50
+        for k, row in enumerate(tail, start=1):
+            assert row.t == path.times[k]
+            np.testing.assert_array_equal(row.mean, path.means[k])
+            np.testing.assert_array_equal(row.cov, path.covs[k])
+
+    def test_long_oracle_peaks_near_its_arrays(self):
+        """A 20 001-step N = 4 oracle is 3.2 MiB of arrays; one GaussianMoments
+        per step peaked at 10.1 MiB."""
+        m = SDEModel(A0=-np.eye(4), b0=np.ones(4), C0=np.eye(4))
+        assert traced_peak_mib(lambda: propagate_moments(m, tf=20.0, dt=1e-3)) < 5.0
+
     def test_runaway_moments_are_a_divergence(self):
         """An unstable model's covariance (e^{2t}) overflows near t = 355:
         the oracle names that step and time instead of returning inf."""
@@ -522,7 +571,7 @@ class TestChunkStreams:
 def _as_lists(doc):
     if isinstance(doc, dict):
         return {key: _as_lists(value) for key, value in doc.items()}
-    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+    return doc.tolist() if isinstance(doc, (np.ndarray, np.generic)) else doc
 
 
 class TestCompactJson:
@@ -534,7 +583,8 @@ class TestCompactJson:
         {"n": 3, "m": np.arange(1200.0).reshape(300, 4) / 7, "s": "x"},
         {"times": np.arange(301) * 1e-3, "cov": np.sin(np.arange(4816.0)).reshape(301, 4, 4)},
         {"empty": np.empty(0), "rows": np.empty((0, 4)), "cols": np.empty((3, 0))},
-        {"scalar": 2.5, "int": 7, "none": None, "list": [[1.5, 2.0]]},
+        {"scalar": 2.5, "int": 7, "none": None, "list": [[1.5, 2.0]], "zero_d": np.array(2.0),
+         "np_int": np.int64(3), "np_bool": np.bool_(True)},
         np.arange(1030.0).reshape(515, 2),
         ScoreNetworkDemon(2, hidden=(8, 8), seed=1).to_dict(),
     ], ids=["1d", "2d", "3d", "empty", "scalar", "bare", "nested"])
@@ -549,14 +599,23 @@ class TestCompactJson:
         with pytest.raises(ValueError):
             core_sde.write_compact_json(tmp_path / "n.json", doc)
 
+    def test_numpy_integer_n_traj_is_written(self, tmp_path):
+        """An n_traj given as a numpy integer is stored as an int, so the
+        summary's JSON can be written."""
+        summary = simulate_ensemble(vp_model(), tf=0.1, dt=0.05, n_traj=np.int64(8),
+                                    base_seed=1)
+        summary.to_json(tmp_path / "m.json")
+        assert json.loads((tmp_path / "m.json").read_text())["n_traj"] == 8
+        assert type(summary.n_traj) is int
+
     def test_long_summary_is_written_in_small_memory(self, tmp_path):
         """A 20 001-step N = 4 summary holds 3.2 MiB of arrays; as nested
         lists and one string it took 36.4 MiB to write."""
         rng = np.random.default_rng(0)
         steps = 20001
-        summary = core_sde.EnsembleSummary(64, np.arange(steps) * 1e-3,
+        summary = core_sde.EnsembleSummary(np.arange(steps) * 1e-3,
                                            rng.standard_normal((steps, 4)),
-                                           rng.standard_normal((steps, 4, 4)))
+                                           rng.standard_normal((steps, 4, 4)), 64)
         tracemalloc.start()
         try:
             summary.to_json(tmp_path / "m.json")

@@ -82,6 +82,9 @@ def test_ensemble_layer_metrics_survive_tracing():
     for name in wanted:
         assert math.isfinite(layers[name]) and layers[name] > 0, (name, layers[name])
     assert layers["core_sde.rng_streams"] == 64 + 1
+    # The oracle's metric is at home in `programmed`; the call above makes it.
+    oracle = layers.get("core_sde.oracle_self_us_per_step", math.nan)
+    assert math.isfinite(oracle) and oracle > 0
     np.testing.assert_array_equal(traced.means, plain.means)
     np.testing.assert_array_equal(traced.covs, plain.covs)
 
