@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_sde import (SDEModel, _check_diverged, _grid, _path, _spd, _vector,
-                       trajectory_rng)
+from .core_sde import (CHUNK_SIZE, SDEModel, _check_diverged, _count, _grid, _integrate,
+                       _path, _propagators, _spd, _vector, _workspace, trajectory_rng)
+from .demon import AnalyticScoreDemon
 from .errors import ContractViolationError
 from .gates import GateProgram, constant_schedule
 from .potentials import (DoubleWellPotential, Gaussian, GaussianMixture,
@@ -52,9 +53,10 @@ class DiffusionSpec:
             return self.schedule.kernel(t)
         return 1.0, self.c0 ** 2 * t
 
-    def prior_sample(self, rng, n):
+    def prior_sample(self, rng):
+        """One row of the noise prior at T; diffusion_reverse's initial sampler."""
         std = 1.0 if self.kind == "vp" else self.c0 * np.sqrt(self.T)
-        return std * rng.standard_normal((n, self.dim))
+        return std * rng.standard_normal(self.dim)
 
 
 def diffusion_forward(spec: DiffusionSpec, x0_batch, dt, seed):
@@ -76,25 +78,26 @@ def diffusion_forward(spec: DiffusionSpec, x0_batch, dt, seed):
 
 
 def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
-    """Generate by running the time-reparameterized reverse SDE from the
-    noise prior:  dx = [-f(T-tau) x + g(T-tau)^2 s(x, T-tau)] dtau
-    + g(T-tau) dw.  A sample row that turns non-finite or runaway raises
-    DivergenceError naming the row, the step and the reverse time tau."""
-    n_steps = _grid(0.0, spec.T, dt)
-    rng = trajectory_rng(seed, 0)
-    X = spec.prior_sample(rng, n_samples)
-    tau, ends = 0.0, dt * np.arange(1, n_steps + 1)
-    for k in range(n_steps):
-        t = spec.T - tau
-        s = score.query_batch(t, X)
-        if s.shape != X.shape:
-            raise ContractViolationError("score dimension must match data dimension")
-        g = spec.g(t)
-        drift = -spec.f(t) * X + g * g * s
-        X = X + drift * dt + g * np.sqrt(dt) * rng.standard_normal(X.shape)
-        _check_diverged(X[None], k, 0, ends, "sample {}")
-        tau += dt
-    return X
+    """Run dx = [-f(T-tau) x + g(T-tau)^2 s(x, T-tau)] dtau + g(T-tau) dw in
+    reverse time tau from the noise prior: the device (I, 0, I, I) with -f, g
+    and g^2 programmed onto its drift, diffusion and demon coupling, and the
+    score as its demon.  Sample i draws its prior row, then its noise, from
+    trajectory_rng(seed, i); a divergence names the sample, step and tau."""
+    _count(n_samples, "n_samples")
+    n_steps, T, n = _grid(0.0, spec.T, dt), spec.T, spec.dim
+    program = GateProgram(
+        schedule_A=constant_schedule("drift_super", lambda tau: -spec.f(T - tau), 0.0, T),
+        schedule_C=constant_schedule("diffusion_super", lambda tau: spec.g(T - tau), 0.0, T),
+        schedule_D=constant_schedule("demon_coupling_super",
+                                     lambda tau: spec.g(T - tau) ** 2, 0.0, T))
+    demon = AnalyticScoreDemon(lambda X, tau: score.query_batch(T - tau, X), n, batched=True)
+    eye, step_times, dts = np.eye(n), dt * np.arange(n_steps), np.full(n_steps, dt)
+    props = _propagators(SDEModel(eye, np.zeros(n), eye), program, step_times, dts)
+    workspace = _workspace(min(CHUNK_SIZE, n_samples), n, n_steps)
+    return np.concatenate([
+        _integrate(props, step_times, dts, demon, spec.prior_sample, seed, start,
+                   min(start + CHUNK_SIZE, n_samples), lambda k, X: None, workspace, "sample {}")
+        for start in range(0, n_samples, CHUNK_SIZE)])
 
 
 # ------------------------------------------------------------ target catalog
@@ -224,19 +227,19 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
         raise ContractViolationError("step sizes must be positive and nonincreasing")
     half = 0.5 * eps
     chain = np.empty((n_steps, n))
-    if minibatch_model is None:
-        kicks = rng.standard_normal((n_steps, n))
-        kicks *= np.sqrt(eps)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if minibatch_model is None:
+            kicks = rng.standard_normal((n_steps, n))
+            kicks *= np.sqrt(eps)[:, None]
             for k in range(n_steps):
                 theta = theta - half[k] * target.grad_U(theta) + kicks[k]
                 chain[k] = theta
-    else:
-        # The minibatch draws interleave with the injected noise in the stream.
-        for k in range(n_steps):
-            grad_log_pi = minibatch_model.grad_log_posterior(theta, rng)
-            theta = theta + half[k] * grad_log_pi + np.sqrt(eps[k]) * rng.standard_normal(n)
-            chain[k] = theta
+        else:
+            # The minibatch draws interleave with the injected noise in the stream.
+            for k in range(n_steps):
+                grad_log_pi = minibatch_model.grad_log_posterior(theta, rng)
+                theta = theta + half[k] * grad_log_pi + np.sqrt(eps[k]) * rng.standard_normal(n)
+                chain[k] = theta
     # Step k advances Langevin time by eps_k.
     _check_diverged(chain[:, None], 0, 0, np.cumsum(eps), "sgld chain")
     return _burn(chain, burn_in)
@@ -409,8 +412,8 @@ def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,
     if not dt > 0:
         raise ContractViolationError("dt must be positive")
     checkpoints = [float(t) for t in checkpoint_times]
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ContractViolationError("checkpoint times must be increasing")
+    if not (np.all(np.isfinite(checkpoints)) and np.all(np.diff(checkpoints) > 0)):
+        raise ContractViolationError("checkpoint times must be finite and increasing")
     if checkpoints and checkpoints[0] < t0:
         raise ContractViolationError("checkpoint before rollout start")
     if program is not None and program.domain is not None:

@@ -286,6 +286,8 @@ def sample_diffusion(cfg, out):
     if score_kind == "checkpoint":
         score = _from_file(cfg, "score.path",
                            lambda text: ScoreNetworkDemon.from_dict(json.loads(text)))
+        if score.dim != dim:
+            raise ConfigError(f"config field score.path: checkpoint dim {score.dim} != dim {dim}")
     elif score_kind == "analytic_gaussian":
         data = Gaussian(_get(cfg, "score.mean", required=True, kind=_array(1)),
                         _get(cfg, "score.cov", required=True, kind=_array(2)))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContractViolationError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
+CHUNK_SIZE = 512  # simulate_ensemble's default chunk_size; diffusion_reverse's chunk
 
 # Ensemble noise is drawn per stream in time blocks into one buffer of at most
 # NOISE_BLOCK_BYTES, allocated once per call and reused by every chunk, and at
@@ -285,6 +286,11 @@ class EnsembleSummary(MomentPath):
         return {"n_traj": self.n_traj, **super()._doc()}
 
 
+def _count(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ContractViolationError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def _vector(v, n, name):
     """v as a finite length-n float vector; zeros if v is None."""
     v = np.zeros(n) if v is None else np.asarray(v, dtype=float).reshape(-1)
@@ -386,7 +392,7 @@ def _check_diverged(X, k, start, ends, what="trajectory {}"):
 
 
 def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start, stop,
-               observe, workspace):
+               observe, workspace, what="trajectory {}"):
     """Step trajectories start..stop-1 over the whole grid, step k from
     step_times[k] by dts[k]; return final states.
 
@@ -400,6 +406,7 @@ def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start,
     every step, before the demon sees the state, and its output must be
     (m, M).  A constant c (one broadcast map) is added as one tiled row over
     the sub-block viewed as (s, m N): one long inner loop, not m of N.
+    ``what`` names a diverged row, as in _check_diverged.
     """
     M, S, c, E = props
     n_steps, n = len(step_times), M.shape[-1]
@@ -443,11 +450,11 @@ def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start,
                     if np.shape(d) != (m, E.shape[1]):
                         raise ContractViolationError("demon output dimension mismatch")
                     X[j] += d @ E[k + j]
-                    _check_diverged(X[j:j + 1], k + j, start, ends)
+                    _check_diverged(X[j:j + 1], k + j, start, ends, what)
                     if state is not None:
                         state.advance(t, V, (X[j] - V) / dts[k + j], dts[k + j])
                 if demon is None:
-                    _check_diverged(X, k, start, ends)
+                    _check_diverged(X, k, start, ends, what)
                 observe(k + 1, X)
                 Vs[0] = Vs[s]
     return Vs[0].copy()
@@ -513,7 +520,7 @@ def gaussian_initial(mean, cov):
 
 def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler=None,
                       t0=0.0, tf=1.0, dt=1e-2, n_traj=1, base_seed=0,
-                      chunk_size=512, keep_final=False) -> EnsembleSummary:
+                      chunk_size=CHUNK_SIZE, keep_final=False) -> EnsembleSummary:
     """Integrate `n_traj` independent trajectories and summarize their moments.
 
     Trajectory i draws the stream of trajectory_rng(base_seed, i).  The
@@ -535,10 +542,8 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     and the state buffers are allocated once per call, reused by every chunk
     including a partial last one, and freed before the moments are formed.
     """
-    for name, value in (("n_traj", n_traj), ("chunk_size", chunk_size)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ContractViolationError(f"{name} must be an integer of at least 1, "
-                                         f"got {value!r}")
+    _count(n_traj, "n_traj")
+    _count(chunk_size, "chunk_size")
     n_steps = _grid(t0, tf, dt)
     n = model.dim
     if initial_sampler is None:

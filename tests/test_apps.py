@@ -6,7 +6,7 @@ from thermosim import (AnalyticScoreDemon, ConjugateGaussianModel,
                        ContractViolationError, DiffusionSpec, DivergenceError,
                        Gaussian,
                        GateProgram, GateSegment, Generator, NSDESpec,
-                       SDEModel, Schedule, TargetDistribution,
+                       SDEModel, Schedule, ScoreNetworkDemon, TargetDistribution,
                        TotalDerivativeDemon, VPSchedule, anneal,
                        diffusion_forward, diffusion_reverse,
                        discrete_gate_sequence, double_well_target,
@@ -149,6 +149,49 @@ class TestDiffusionReverse:
         assert (info.value.trajectory, info.value.step) == (3, 4)
         assert info.value.t == pytest.approx(0.4)
 
+    @staticmethod
+    def stream_runs(score, sizes, dim=2):
+        spec = DiffusionSpec("vp", dim, T=1.0)
+        full = diffusion_reverse(spec, score, 1200, 0.05, seed=9)
+        return full, [diffusion_reverse(spec, score, n, 0.05, seed=9) for n in sizes]
+
+    def test_sample_stream_independent_of_n_samples(self):
+        """Sample i draws its prior row, then its noise, from
+        trajectory_rng(seed, i): an elementwise score leaves rows 0..n-1
+        bit-identical for every n, across the 512-sample chunks too."""
+        score = AnalyticScoreDemon(lambda X, t: -X / (1.0 + t), 2, batched=True)
+        full, parts = self.stream_runs(score, (1, 5, 700))
+        for part in parts:
+            np.testing.assert_array_equal(part, full[:len(part)])
+
+    def test_network_score_rows_agree_to_rounding(self):
+        """gemm rounds a row by the batch size, so a network's rows agree
+        only to rounding."""
+        full, parts = self.stream_runs(ScoreNetworkDemon(2, hidden=(16,), seed=3), (1, 5, 700))
+        for part in parts:
+            np.testing.assert_allclose(part, full[:len(part)], rtol=0, atol=1e-12)
+
+    def test_wrong_shape_score_rejected(self):
+        spec = DiffusionSpec("vp", 2, T=1.0)
+        score = AnalyticScoreDemon(lambda X, t: X[:, :1], 2, batched=True)
+        with pytest.raises(ContractViolationError, match="demon output dimension mismatch"):
+            diffusion_reverse(spec, score, 10, 0.1, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "10"])
+    def test_bad_n_samples_rejected_before_any_step(self, n_samples):
+        class CountingScore:
+            calls = 0
+
+            def query_batch(self, t, X):
+                CountingScore.calls += 1
+                return np.zeros_like(X)
+
+        spec = DiffusionSpec("vp", 1, T=1.0)
+        with pytest.raises(ContractViolationError,
+                           match="n_samples must be an integer of at least 1"):
+            diffusion_reverse(spec, CountingScore(), n_samples, 0.1, seed=0)
+        assert CountingScore.calls == 0
+
 
 class TestTargets:
     def test_gradient_fd_consistency(self):
@@ -285,6 +328,15 @@ class TestSGLD:
                            match=r"^sgld chain diverged at step \d+, t=\d+"):
             sgld_sample(gaussian_target([0.0], [[1.0]]), step_sizes=10.0,
                         n_steps=2000, seed=0)
+
+    def test_minibatch_runaway_is_a_divergence(self):
+        """A runaway minibatch chain overflows under the same errstate as the
+        exact-gradient one, so it raises DivergenceError, not a warning."""
+        data = 1e3 * np.random.default_rng(0).standard_normal(50)
+        model = ConjugateGaussianModel(data, sigma=1e-3, batch_size=5)
+        with pytest.raises(DivergenceError, match=r"^sgld chain diverged at step 2, t=20$"):
+            sgld_sample(gaussian_target([0.0], [[1.0]]), step_sizes=10.0, n_steps=400,
+                        seed=0, minibatch_model=model)
 
     def test_increasing_steps_rejected(self):
         target = gaussian_target([0.0], [[1.0]])
@@ -517,6 +569,14 @@ class TestLatentRollout:
         model = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[0.0]])
         with pytest.raises(ContractViolationError):
             latent_sde_rollout(model, None, None, [0.0], [0.5, 0.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_checkpoint_rejected(self, bad):
+        """A NaN checkpoint used to pass the ordering check and return a row
+        labelled nan holding the state at the checkpoint before it."""
+        model = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[1.0]])
+        with pytest.raises(ContractViolationError, match="checkpoint times must be finite"):
+            latent_sde_rollout(model, None, None, [1.0], [0.5, bad])
 
     def test_matches_simulate_trajectory_on_grid(self):
         """Grid-aligned checkpoints read the simulate_trajectory path of the

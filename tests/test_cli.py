@@ -208,6 +208,27 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert words in result.output
 
+    GAUSS_SCORE = {"kind": "analytic_gaussian", "mean": [0.0], "cov": [[1.0]]}
+
+    def test_zero_samples_exit_2_before_sampling(self, tmp_path):
+        cfg = {"seed": 0, "n_samples": 0, "dt": 0.1, "score": self.GAUSS_SCORE,
+               "output_dir": str(tmp_path / "o")}
+        result = run_cli(["sample-diffusion", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 2, result.output
+        assert "n_samples must be an integer of at least 1, got 0" in result.output
+        assert not (tmp_path / "o" / "samples.csv").exists()
+
+    def test_checkpoint_dimension_mismatch_exit_2(self, tmp_path):
+        """A 2-dim checkpoint under dim 1 used to exit 1 on a matmul error."""
+        (tmp_path / "demon.json").write_text(json.dumps(ScoreNetworkDemon(2, hidden=(8,))
+                                                        .to_dict()))
+        cfg = {"seed": 0, "dim": 1, "n_samples": 10, "dt": 0.1,
+               "score": {"kind": "checkpoint", "path": str(tmp_path / "demon.json")},
+               "output_dir": str(tmp_path / "o")}
+        result = run_cli(["sample-diffusion", write_config(tmp_path, "c.yaml", cfg)])
+        assert result.exit_code == 2, result.output
+        assert "config field score.path: checkpoint dim 2 != dim 1" in result.output
+
     def test_nonfinite_unread_field_exit_2_before_run(self, tmp_path):
         """No subcommand reads ``extra``, but the manifest records it, and
         strict JSON has no NaN."""
