@@ -289,8 +289,12 @@ def sample_diffusion(cfg, out):
         if score.dim != dim:
             raise ConfigError(f"config field score.path: checkpoint dim {score.dim} != dim {dim}")
     elif score_kind == "analytic_gaussian":
-        data = Gaussian(_get(cfg, "score.mean", required=True, kind=_array(1)),
-                        _get(cfg, "score.cov", required=True, kind=_array(2)))
+        mean = _get(cfg, "score.mean", required=True, kind=_array(1))
+        cov = np.atleast_2d(_get(cfg, "score.cov", required=True, kind=_array(2)))
+        for key, shape in (("mean", mean.shape), ("cov", cov.shape)):
+            if shape != (dim,) * len(shape):
+                raise ConfigError(f"config field score.{key} must fit dim {dim}, got shape {shape}")
+        data = Gaussian(mean, cov)
 
         def score_fn(X, t):
             a, var = spec.kernel(t)

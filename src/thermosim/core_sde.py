@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractViolationError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
-CHUNK_SIZE = 512  # simulate_ensemble's default chunk_size; diffusion_reverse's chunk
+CHUNK_SIZE = 512  # _integrate's rows per chunk, and simulate_ensemble's default chunk_size
 
 # Ensemble noise is drawn per stream in time blocks into one buffer of at most
 # NOISE_BLOCK_BYTES, allocated once per call and reused by every chunk, and at
@@ -367,16 +367,6 @@ def _block_steps(m, n, n_steps):
     return block, max(1, min(block, SUB_BLOCK_BYTES // row))
 
 
-def _workspace(m, n, n_steps):
-    """Buffers for chunks of at most m streams of dimension n, made once and
-    viewed by every chunk: the steps per noise block and per state sub-block,
-    flat space for the noise block, the sub-block's states and the linear
-    drift, then the pool of generators that _chunk_rngs fills and re-keys."""
-    block, sub = _block_steps(m, n, n_steps)
-    return (block, sub, np.empty(m * block * n), np.empty((sub + 1) * m * n), np.empty(m * n),
-            [])
-
-
 def _check_diverged(X, k, start, ends, what="trajectory {}"):
     """Raise for the first step, then the first row (named by
     ``what.format(start + i)``), whose state in X (steps k, k+1, ... by
@@ -391,87 +381,99 @@ def _check_diverged(X, k, start, ends, what="trajectory {}"):
                           t=float(ends[k + j]), max_abs=float(np.max(np.abs(X[j, i]))))
 
 
-def _integrate(props, step_times, dts, demon, initial_sampler, base_seed, start, stop,
-               observe, workspace, what="trajectory {}"):
-    """Step trajectories start..stop-1 over the whole grid, step k from
-    step_times[k] by dts[k]; return final states.
+def _integrate(model, program, demon, initial_sampler, step_times, dts, base_seed, n_rows,
+               observe=None, chunk=CHUNK_SIZE, keep_final=True, what="trajectory {}"):
+    """The one stepper: step rows 0..n_rows-1 of the (programmed,
+    demon-driven) device over the whole grid, step k from step_times[k] by
+    dts[k], ``chunk`` rows at a time; return their final states
+    (n_rows, N), or None without keep_final.
 
-    Trajectory i draws its initial state, then its noise, from the stream
-    of trajectory_rng(base_seed, i) (a generator of the workspace's pool,
-    see _chunk_rngs), one time block at a time into an (m, block, N) view of
-    ``workspace``, which _workspace made for at least m streams.  Each block
-    is stepped in cache-sized sub-blocks: the noise map, the divergence
-    check and ``observe(k, X)`` (X holds the states at grid indices k, k+1,
-    ...) run once per sub-block.  With a demon the divergence check runs
-    every step, before the demon sees the state, and its output must be
-    (m, M).  A constant c (one broadcast map) is added as one tiled row over
-    the sub-block viewed as (s, m N): one long inner loop, not m of N.
-    ``what`` names a diverged row, as in _check_diverged.
+    The per-step maps (_propagators) and the buffers are made once per call
+    and reused by every chunk, including a partial last one.  Row i draws
+    its initial state, then its noise, from the stream of
+    trajectory_rng(base_seed, i) (a generator of one pool, see _chunk_rngs),
+    one time block at a time into a buffer of chunk x block x N values.
+    Each block is stepped in cache-sized sub-blocks: the noise map, the
+    divergence check and ``observe(start, k, X)`` (X holds the states of the
+    chunk's rows start, start+1, ... at grid indices k, k+1, ...) run once
+    per sub-block.  With a demon the divergence check runs every step,
+    before the demon sees the state, and its output must be (m, M) for a
+    chunk of m rows; a stateful demon is stepped through demon.batch(m), one
+    fresh state per chunk.  A constant c (one broadcast map) is added as one
+    tiled row over the sub-block viewed as (s, m N): one long inner loop,
+    not m of N.  ``what`` names a diverged row, as in _check_diverged.
     """
-    M, S, c, E = props
-    n_steps, n = len(step_times), M.shape[-1]
-    m, ends = stop - start, step_times + dts
-    block, sub, noise, Vs, drift, pool = workspace
-    rngs = _chunk_rngs(pool, base_seed, start, stop)
-    V0 = np.array([initial_sampler(rng) for rng in rngs], dtype=float)
-    if V0.shape != (m, n):
-        raise ContractViolationError("initial state dimension mismatch")
-    observe(0, V0[None])
-    state = None
-    if demon is not None and not getattr(demon, "stateless", False):
-        state = demon.batch(m)
-    bias = np.tile(c[0], m) if len(c) and c.strides[0] == 0 else None
-
-    noise = noise[:m * block * n].reshape(m, block, n)
-    Vs = Vs[:(sub + 1) * m * n].reshape(sub + 1, m, n)  # Vs[0]: state before the sub-block
-    Vs[0] = V0
-    rows = Vs.reshape(sub + 1, m * n)  # Vs with each step's states as one row
-    drift = drift[:m * n].reshape(m, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n_steps, block):
-            nb = min(block, n_steps - k0)
-            for i, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[i, :nb])
-            for j0 in range(0, nb, sub):
-                s, k = min(sub, nb - j0), k0 + j0
-                X = Vs[1:s + 1]
-                np.matmul(noise[:, j0:j0 + s].transpose(1, 0, 2), S[k:k + s], out=X)
-                if bias is None:
-                    X += c[k:k + s, None]
-                else:
-                    rows[1:s + 1] += bias
-                for j in range(s):
-                    V = Vs[j]
-                    X[j] += np.matmul(V, M[k + j], out=drift)
+    M, S, c, E = _propagators(model, program, step_times, dts)
+    n_steps, n, ends = len(step_times), model.dim, step_times + dts
+    width = min(chunk, n_rows)
+    block, sub = _block_steps(width, n, n_steps)
+    noise_buf, Vs_buf, drift_buf = (np.empty(width * block * n),
+                                    np.empty((sub + 1) * width * n), np.empty(width * n))
+    pool, finals = [], np.empty((n_rows, n)) if keep_final else None
+    observe = observe or (lambda start, k, X: None)
+    stateful = demon is not None and not getattr(demon, "stateless", False)
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        m = stop - start
+        rngs = _chunk_rngs(pool, base_seed, start, stop)
+        V0 = np.array([initial_sampler(rng) for rng in rngs], dtype=float)
+        if V0.shape != (m, n):
+            raise ContractViolationError("initial state dimension mismatch")
+        observe(start, 0, V0[None])
+        state = demon.batch(m) if stateful else None
+        bias = np.tile(c[0], m) if len(c) and c.strides[0] == 0 else None
+        noise = noise_buf[:m * block * n].reshape(m, block, n)
+        Vs = Vs_buf[:(sub + 1) * m * n].reshape(sub + 1, m, n)  # Vs[0]: state before the sub-block
+        Vs[0] = V0
+        rows = Vs.reshape(sub + 1, m * n)  # Vs with each step's states as one row
+        drift = drift_buf[:m * n].reshape(m, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k0 in range(0, n_steps, block):
+                nb = min(block, n_steps - k0)
+                for i, rng in enumerate(rngs):
+                    rng.standard_normal(out=noise[i, :nb])
+                for j0 in range(0, nb, sub):
+                    s, k = min(sub, nb - j0), k0 + j0
+                    X = Vs[1:s + 1]
+                    np.matmul(noise[:, j0:j0 + s].transpose(1, 0, 2), S[k:k + s], out=X)
+                    if bias is None:
+                        X += c[k:k + s, None]
+                    else:
+                        rows[1:s + 1] += bias
+                    for j in range(s):
+                        V = Vs[j]
+                        X[j] += np.matmul(V, M[k + j], out=drift)
+                        if demon is None:
+                            continue
+                        t = step_times[k + j]
+                        d = demon.query_batch(t, V) if state is None else state.query(t, V)
+                        if np.shape(d) != (m, E.shape[1]):
+                            raise ContractViolationError("demon output dimension mismatch")
+                        X[j] += d @ E[k + j]
+                        _check_diverged(X[j:j + 1], k + j, start, ends, what)
+                        if state is not None:
+                            state.advance(t, V, (X[j] - V) / dts[k + j], dts[k + j])
                     if demon is None:
-                        continue
-                    t = step_times[k + j]
-                    d = demon.query_batch(t, V) if state is None else state.query(t, V)
-                    if np.shape(d) != (m, E.shape[1]):
-                        raise ContractViolationError("demon output dimension mismatch")
-                    X[j] += d @ E[k + j]
-                    _check_diverged(X[j:j + 1], k + j, start, ends, what)
-                    if state is not None:
-                        state.advance(t, V, (X[j] - V) / dts[k + j], dts[k + j])
-                if demon is None:
-                    _check_diverged(X, k, start, ends, what)
-                observe(k + 1, X)
-                Vs[0] = Vs[s]
-    return Vs[0].copy()
+                        _check_diverged(X, k, start, ends, what)
+                    observe(start, k + 1, X)
+                    Vs[0] = Vs[s]
+        if keep_final:
+            finals[start:stop] = Vs[0]
+    return finals
 
 
 def _path(model, program, demon, V0, step_times, dts, seed):
     """Whole path (m, steps + 1, N) of the trajectories starting at the rows
-    of V0 (m, N); row i draws its noise from trajectory_rng(seed, i)."""
+    of V0 (m, N), stepped as one chunk; row i draws its noise from
+    trajectory_rng(seed, i)."""
     out = np.empty((len(V0), len(step_times) + 1, model.dim))
 
-    def record(k, X):
+    def record(start, k, X):
         out[:, k:k + len(X)] = X.transpose(1, 0, 2)
 
     rows = iter(V0)
-    _integrate(_propagators(model, program, step_times, dts), step_times, dts, demon,
-               lambda rng: next(rows), seed, 0, len(V0), record,
-               _workspace(len(V0), model.dim, len(step_times)))
+    _integrate(model, program, demon, lambda rng: next(rows), step_times, dts, seed, len(V0),
+               record, len(V0))
     return out
 
 
@@ -523,24 +525,17 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
                       chunk_size=CHUNK_SIZE, keep_final=False) -> EnsembleSummary:
     """Integrate `n_traj` independent trajectories and summarize their moments.
 
-    Trajectory i draws the stream of trajectory_rng(base_seed, i).  The
-    first chunk's generators are made through trajectory_rng once per call
-    and re-keyed for each later chunk (_chunk_rngs), which draws the same
-    numbers; a base seed or index of 2**32 or more takes trajectory_rng per
-    stream.  At n_traj=1 member 0 reproduces
+    The trajectories go through the one stepper, _integrate, `chunk_size`
+    (a positive integer) at a time; trajectory i draws the stream of
+    trajectory_rng(base_seed, i).  At n_traj=1 member 0 reproduces
     simulate_trajectory(seed=base_seed) bit for bit; in larger batches it
     agrees to rounding, since BLAS may round a row of a batched product
-    differently.  Stateless demons are queried on whole
-    batches; a stateful demon is stepped through demon.batch(chunk), one
-    fresh state per chunk that holds every trajectory's row.
-
-    Trajectories are stepped `chunk_size` (a positive integer) at a time.
-    Noise is drawn in time blocks into one buffer of chunk x block x N values,
-    at most NOISE_BLOCK_BYTES whatever n_steps is, so that when the byte
-    budget sets the block each stream draws NOISE_BLOCK_BYTES / (8 chunk)
-    values per call: 1 024 at the default chunk of 512 (4 MiB).  The noise block
-    and the state buffers are allocated once per call, reused by every chunk
-    including a partial last one, and freed before the moments are formed.
+    differently.  Stateless demons are queried on whole batches; a stateful
+    demon is stepped through demon.batch(chunk), one fresh state per chunk.
+    The noise block (at most NOISE_BLOCK_BYTES: 1 024 values per stream and
+    draw at the default chunk of 512) and the state buffers are freed before
+    the moments are formed, and the (n_traj, N) final states are held only
+    with keep_final.
     """
     _count(n_traj, "n_traj")
     _count(chunk_size, "chunk_size")
@@ -548,21 +543,16 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     n = model.dim
     if initial_sampler is None:
         initial_sampler = fixed_initial(np.zeros(n))
-    step_times, dts = t0 + dt * np.arange(n_steps), np.full(n_steps, dt)
-    props = _propagators(model, program, step_times, dts)
     # Sums run over deviations from a shift, trajectory 0's own state, which
     # chunk 0 records at each grid index before summing there; so moments do
     # not cancel when the mean is large against the spread, whatever chunk_size.
     shift = np.empty((n_steps + 1, n))
     sum_d = np.zeros((n_steps + 1, n))
     sum_dd = np.zeros((n_steps + 1, n, n))
-    finals = np.empty((n_traj, n)) if keep_final else None
     width = min(chunk_size, n_traj)
-    workspace = _workspace(width, n, n_steps)
-    sub = workspace[1]
-    work = np.empty(sub * width * n)  # deviations of one sub-block's states
+    work = np.empty(_block_steps(width, n, n_steps)[1] * width * n)  # one sub-block's deviations
 
-    def accumulate(k, X):
+    def accumulate(start, k, X):
         s, m = X.shape[:2]
         if start == 0:
             shift[k:k + s] = X[:, 0]
@@ -573,13 +563,10 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
         sum_d[k:k + s] += np.matmul(D, np.ones(m))
         sum_dd[k:k + s] += np.matmul(D, D.transpose(0, 2, 1))
 
-    for start in range(0, n_traj, chunk_size):
-        stop = min(start + chunk_size, n_traj)
-        V = _integrate(props, step_times, dts, demon, initial_sampler, base_seed,
-                       start, stop, accumulate, workspace)
-        if keep_final:
-            finals[start:stop] = V
-    del workspace, work
+    finals = _integrate(model, program, demon, initial_sampler, t0 + dt * np.arange(n_steps),
+                        np.full(n_steps, dt), base_seed, n_traj, accumulate, chunk_size,
+                        keep_final)
+    del work
 
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = tf

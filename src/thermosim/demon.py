@@ -20,7 +20,7 @@ from .potentials import Gaussian, GaussianMixture, central_difference_gradient
 
 
 class Demon:
-    """Contract: query(t, v[, dv_dt]) -> drift vector of fixed dimension M.
+    """Contract: query(t, v) -> drift vector of fixed dimension M.
 
     Stateful variants advance per host step via advance().  Simulations step
     them through batch(m), the reset state of m trajectories, which never
@@ -29,7 +29,7 @@ class Demon:
 
     stateless = False
 
-    def query(self, t, v, dv_dt=None):
+    def query(self, t, v):
         raise NotImplementedError
 
     def advance(self, t, v, dv_dt, dt):
@@ -74,7 +74,7 @@ class ZeroDemon(Demon):
     def __init__(self, dim):
         self.dim = dim
 
-    def query(self, t, v, dv_dt=None):
+    def query(self, t, v):
         return np.zeros(self.dim)
 
     def query_batch(self, t, V):
@@ -119,7 +119,7 @@ class ScoreNetworkDemon(Demon):
             T = np.concatenate([np.sin(t_col * freqs), np.cos(t_col * freqs)], axis=1)
         return np.concatenate([V, T], axis=1)
 
-    def query(self, t, v, dv_dt=None):
+    def query(self, t, v):
         out = self.net(self._features(t, v))
         if not np.all(np.isfinite(out)):
             raise ContractViolationError("demon output not finite")
@@ -168,7 +168,7 @@ class TotalDerivativeDemon(Demon):
         self.d0 = np.asarray(d0, dtype=float).reshape(-1)
         self.d = self.d0.copy()
 
-    def query(self, t, v, dv_dt=None):
+    def query(self, t, v):
         return self.d.copy()
 
     def advance(self, t, v, dv_dt, dt):
@@ -237,7 +237,7 @@ class ForceDemon(Demon):
         return central_difference_gradient(
             lambda y: self.potential.value(t, y), x, h=self.fd_step)
 
-    def query(self, t, v, dv_dt=None):
+    def query(self, t, v):
         force = -self._grad(t, self.x)
         if not np.all(np.isfinite(force)):
             raise ContractViolationError("demon output not finite")
@@ -271,7 +271,7 @@ class AnalyticScoreDemon(Demon):
         self.dim = dim
         self.batched = batched
 
-    def query(self, t, v, dv_dt=None):
+    def query(self, t, v):
         return np.asarray(self.score_fn(np.asarray(v, dtype=float), t),
                           dtype=float).reshape(-1)
 

@@ -495,6 +495,42 @@ class TestWeightDiffuser:
         # drift = NN + w = -w: exponential decay
         np.testing.assert_allclose(W[-1], np.exp(-1.0) * w0, rtol=1e-2)
 
+    @pytest.mark.parametrize("mode, f_w", [("prior", None), ("prior", lambda t, w: 0.1 - w),
+                                           ("posterior", None)])
+    def test_zero_sigma_is_explicit_euler(self, mode, f_w):
+        """At sigma = 0 the rollout is the explicit Euler loop of its drift
+        definition: H' = f_h(t, H, w), and w' = f_w(t, w) (0 without f_w)
+        in prior mode or NN(t, w) + w in posterior mode."""
+        def posterior(t, w):
+            return np.sin(w) - 2.0 * w
+
+        spec = self.make_spec(f_w=f_w, posterior=posterior)
+        H, w = np.array([[1.0, -0.5], [0.3, 0.2], [0.0, 2.0]]), np.array([0.1, -0.2, 0.3, 0.4])
+        dt, n_steps = 0.05, 40
+        Hs, Ws = [H], [w]
+        for _ in range(n_steps):
+            if mode == "posterior":
+                drift_w = posterior(0.0, w) + w
+            else:
+                drift_w = np.zeros(4) if f_w is None else f_w(0.0, w)
+            H, w = H + spec.f_h(0.0, H, w) * dt, w + drift_w * dt
+            Hs.append(H)
+            Ws.append(w)
+        times, H_out, W_out = weight_diffuser_rollout(spec, mode, Hs[0], n_steps * dt, dt,
+                                                      seed=3, w0=Ws[0])
+        np.testing.assert_array_equal(times, dt * np.arange(n_steps + 1))
+        np.testing.assert_array_equal(H_out, Hs)
+        np.testing.assert_array_equal(W_out, Ws)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_batch_rejected_before_any_step(self, bad):
+        def f_h(t, H, w):
+            raise AssertionError("the drift was queried")
+
+        with pytest.raises(ContractViolationError, match="input batch must be a finite"):
+            weight_diffuser_rollout(NSDESpec(2, 4, f_h), "prior", [[1.0, 0.0], [bad, 0.0]],
+                                    1.0, 0.25, seed=0)
+
     def test_posterior_without_network_rejected(self):
         spec = self.make_spec()
         with pytest.raises(ContractViolationError):

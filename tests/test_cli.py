@@ -201,6 +201,15 @@ class TestExitCodes:
                  "n_iter": 5}, "covariance must be symmetric within 1e-10"),
         ("train-demon", {**TRAIN, "data": {**GAUSS, "mean": [0.0, 0.0], "cov": ASYMMETRIC}},
          "covariance must be symmetric within 1e-10"),
+        ("sample-diffusion", {"seed": 0, "dim": 3, "score": {
+            "kind": "analytic_gaussian", "mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+         "config field score.mean must fit dim 3, got shape (2,)"),
+        ("sample-diffusion", {"seed": 0, "dim": 1, "score": {
+            "kind": "analytic_gaussian", "mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+         "config field score.mean must fit dim 1, got shape (2,)"),
+        ("sample-diffusion", {"seed": 0, "dim": 2, "score": {
+            "kind": "analytic_gaussian", "mean": [0.0, 0.0], "cov": np.eye(3).tolist()}},
+         "config field score.cov must fit dim 2, got shape (3, 3)"),
     ])
     def test_out_of_range_exit_2(self, tmp_path, command, cfg, words):
         path = write_config(tmp_path, "c.yaml", {**cfg, "output_dir": str(tmp_path / "o")})
