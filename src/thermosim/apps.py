@@ -356,49 +356,49 @@ class NSDESpec:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ContractViolationError("sigma must be nonnegative")
+        if not np.isfinite(self.sigma) or self.sigma < 0:
+            raise ContractViolationError("sigma must be finite and nonnegative")
 
 
 def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=None):
     """Joint rollout of hidden states and the (stochastic) weight trajectory.
 
-    The state (w, vec H), N = weight_dim + batch * hidden_dim values, is an
-    s-mode device stepped by the one stepper: A = 0, b = 0, C = diag(sigma
-    on the weights, 0 on the hidden block), D = I, and a stateless demon
-    whose drift is f_w(t, w) (0 without f_w) in prior mode, or the posterior
-    drift network as NN(t, w) + w in posterior mode, on the weights and
-    f_h(t, H, w) on the hidden block, evaluated at step start t_k = k dt.
-    The path is trajectory 0 of trajectory_rng(seed, 0), which draws N
-    normals a step.  Returns (times, hidden states (steps+1, batch, hidden),
-    weights (steps+1, weight_dim)).  A non-finite input batch or w0 is
-    refused before any step; a non-finite or runaway state raises
-    DivergenceError at its first step."""
+    Prior mode uses f_w; posterior mode routes the weights through the
+    posterior drift network as NN(t, w) + w.  Returns (times, hidden
+    states (steps+1, batch, hidden), weights (steps+1, weight_dim)).  A
+    non-finite or wrongly shaped input batch is refused before any step; a
+    non-finite or runaway state raises DivergenceError at its first step."""
     if mode not in ("prior", "posterior"):
         raise ContractViolationError("mode must be 'prior' or 'posterior'")
     if mode == "posterior" and spec.posterior_net is None:
         raise ContractViolationError("posterior mode needs a posterior drift network")
-    H0 = np.atleast_2d(np.asarray(input_batch, dtype=float))
-    if H0.ndim != 2 or H0.shape[1] != spec.hidden_dim or not np.all(np.isfinite(H0)):
+    H = np.atleast_2d(np.asarray(input_batch, dtype=float)).copy()
+    if H.ndim != 2 or H.shape[1] != spec.hidden_dim or not np.all(np.isfinite(H)):
         raise ContractViolationError("input batch must be a finite (batch, hidden_dim) array")
-    nw, n = spec.weight_dim, spec.weight_dim + H0.size
-    v0 = np.concatenate([_vector(w0, nw, "w0"), H0.ravel()])
+    w = _vector(w0, spec.weight_dim, "w0")
     n_steps = _grid(0.0, T, dt)
-
-    def drift(V, t):
-        w, H = V[0, :nw], V[0, nw:].reshape(H0.shape)
-        if mode == "posterior":
-            drift_w = np.asarray(spec.posterior_net(t, w), dtype=float) + w
-        else:
-            drift_w = np.zeros(nw) if spec.f_w is None else spec.f_w(t, w)
-        return np.concatenate([drift_w, np.ravel(spec.f_h(t, H, w))])[None]
-
-    model = SDEModel(np.zeros((n, n)), np.zeros(n), np.diag(np.repeat([spec.sigma, 0.0],
-                                                                      [nw, n - nw])))
-    path = _path(model, None, AnalyticScoreDemon(drift, n, batched=True), v0[None],
-                 dt * np.arange(n_steps), np.full(n_steps, dt), seed)[0]
-    return (dt * np.arange(n_steps + 1), path[:, nw:].reshape((n_steps + 1,) + H0.shape),
-            path[:, :nw])
+    rng = trajectory_rng(seed, 0)
+    Hs = np.empty((n_steps + 1,) + H.shape)
+    Ws = np.empty((n_steps + 1, spec.weight_dim))
+    Hs[0], Ws[0] = H, w
+    kicks = rng.standard_normal((n_steps, spec.weight_dim))
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        kicks *= spec.sigma * np.sqrt(dt)
+        for k in range(n_steps):
+            if mode == "prior":
+                drift_w = np.zeros_like(w) if spec.f_w is None else \
+                    np.asarray(spec.f_w(t, w), dtype=float)
+            else:
+                drift_w = np.asarray(spec.posterior_net(t, w), dtype=float) + w
+            H = H + np.asarray(spec.f_h(t, H, w), dtype=float) * dt
+            w = w + drift_w * dt + kicks[k]
+            t += dt
+            Hs[k + 1], Ws[k + 1] = H, w
+    times = dt * np.arange(n_steps + 1)
+    _check_diverged(np.concatenate([Hs[1:].reshape(n_steps, 1, -1), Ws[1:, None]], axis=2),
+                    0, 0, times[1:])
+    return times, Hs, Ws
 
 
 def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,

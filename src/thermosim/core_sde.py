@@ -549,11 +549,13 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     shift = np.empty((n_steps + 1, n))
     sum_d = np.zeros((n_steps + 1, n))
     sum_dd = np.zeros((n_steps + 1, n, n))
-    width = min(chunk_size, n_traj)
-    work = np.empty(_block_steps(width, n, n_steps)[1] * width * n)  # one sub-block's deviations
+    work = np.empty(0)  # one sub-block's deviations, grown to the largest sub-block seen
 
     def accumulate(start, k, X):
+        nonlocal work
         s, m = X.shape[:2]
+        if work.size < X.size:
+            work = np.empty(X.size)
         if start == 0:
             shift[k:k + s] = X[:, 0]
         # Deviations as (s, N, m): each component's row is contiguous, so the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -530,6 +532,29 @@ class TestWeightDiffuser:
         with pytest.raises(ContractViolationError, match="input batch must be a finite"):
             weight_diffuser_rollout(NSDESpec(2, 4, f_h), "prior", [[1.0, 0.0], [bad, 0.0]],
                                     1.0, 0.25, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        with pytest.raises(ContractViolationError, match="sigma must be finite and nonnegative"):
+            self.make_spec(sigma=sigma)
+
+    def test_wide_rollout_memory_is_linear_in_state(self):
+        """Hidden 64, batch 128: N = 4 096 weights + 8 192 hidden values.  The
+        rollout holds its two paths and its weight kicks, about 1.4 MiB for
+        10 steps; one dense N x N map would take 1.1 GiB."""
+        def f_h(t, H, w):
+            return np.tanh(H @ w.reshape(64, 64).T)
+
+        spec = NSDESpec(64, 64 * 64, f_h, f_w=lambda t, w: -w, sigma=0.1)
+        H0 = np.random.default_rng(0).standard_normal((128, 64))
+        tracemalloc.start()
+        try:
+            _, H, W = weight_diffuser_rollout(spec, "prior", H0, 0.1, 0.01, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert H.shape == (11, 128, 64) and W.shape == (11, 4096)
+        assert peak < 8.0
 
     def test_posterior_without_network_rejected(self):
         spec = self.make_spec()
