@@ -125,6 +125,10 @@ def gaussian_target(mean, cov) -> TargetDistribution:
 
 
 def mixture_target(weights, means, covs) -> TargetDistribution:
+    counts = {"weights": np.size(weights), "means": len(means), "covs": len(covs)}
+    if len(set(counts.values())) != 1:
+        raise ContractViolationError("a mixture needs one mean and one cov per weight, got "
+                                     + ", ".join(f"{k} {v}" for k, v in counts.items()))
     comps = [Gaussian(m, c) for m, c in zip(means, covs)]
     mix = GaussianMixture(weights, comps)
     return TargetDistribution("mixture", comps[0].dim, NegativeLogDensityPotential(mix))
@@ -157,6 +161,11 @@ def _row_products(L, z, scale):
     return out
 
 
+def _positive_dt(dt):
+    if not 0 < dt < np.inf:
+        raise ContractViolationError(f"dt must be finite and positive, got {dt}")
+
+
 def _momentum_chain(force, x, p, Minv, drag, kicks, dt, what, observe=None):
     """Semi-implicit Euler chain of a force demon on momentum s-modes: step k
     kicks p <- p + (force(k, x) - drag p) dt + kicks[k], then drifts
@@ -186,6 +195,7 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
     mode: each step's grad U carries N(0, V) noise, drawn just before that
     step's kick.  With noise_cov None the gradient is exact.
     """
+    _positive_dt(dt)
     n = target.dim
     x = _vector(x0, n, "x0")
     Minv = np.linalg.inv(_spd(mass, n, "mass matrix")[0])
@@ -319,6 +329,7 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
 
     Returns (best x seen, post-burn-in x chain); the first strict minimum
     of lam L wins, and a NaN loss never does."""
+    _positive_dt(dt)
     n = loss.dim
     S = np.eye(n) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
     if not np.all(np.isfinite(S)):

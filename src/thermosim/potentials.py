@@ -11,6 +11,13 @@ import numpy as np
 from .core_sde import _spd
 from .errors import ContractViolationError
 
+# numpy sums a contiguous run of at most this many terms left to right from
+# 0.0 (a longer run goes 8-way pairwise), and a strided axis left to right at
+# any length.  Within this bound a one-point evaluation repeats the array
+# code's arithmetic in Python floats, without a numpy call per operation, and
+# keeps its bits: each sum below starts at 0.0 and adds left to right.
+_ONE_POINT_MAX = 7
+
 
 def central_difference_gradient(f, x, h=1e-4):
     x = np.asarray(x, dtype=float)
@@ -54,10 +61,18 @@ class DoubleWellPotential(Potential):
 
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1 and x.size <= _ONE_POINT_MAX:
+            total = 0.0
+            for v in x.tolist():
+                d = v * v - 1.0
+                total += d * d
+            return total
         return float(((x * x - 1.0) ** 2).sum())
 
     def gradient(self, t, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1 and x.size <= _ONE_POINT_MAX:
+            return np.array([4.0 * v * (v * v - 1.0) for v in x.tolist()])
         return 4.0 * x * (x * x - 1.0)
 
 
@@ -96,7 +111,9 @@ class GaussianMixture:
     Component means, precisions and log w_k + log_norm_k are stacked once, so
     each evaluation is a few array operations over (..., K, n) for one point
     (n,) or a batch (..., n).  Log-sum-exps are shifted by their maximum, so
-    a point far from every mode keeps finite responsibilities.
+    a point far from every mode keeps finite responsibilities.  One point
+    with K and n both at most _ONE_POINT_MAX takes ``_point``: the same bits,
+    with numpy called only for x - mu_k, the precision product, exp and log.
     """
 
     def __init__(self, weights, components):
@@ -111,6 +128,8 @@ class GaussianMixture:
         self._means = np.stack([c.mean for c in self.components])
         self._precisions = np.stack([c.precision for c in self.components])
         self._log_coef = np.log(self.weights) + np.array([c._log_norm for c in self.components])
+        self._point_coef = self._log_coef.tolist()
+        self._point_shape = (self.dim,) if max(self._means.shape) <= _ONE_POINT_MAX else None
 
     @property
     def dim(self):
@@ -118,16 +137,54 @@ class GaussianMixture:
 
     def _terms(self, x):
         """Per-component P_k (x - mu_k), shape (..., K, n), and log joints (..., K)."""
-        r = np.asarray(x, dtype=float)[..., None, :] - self._means
+        r = x[..., None, :] - self._means
         pr = np.matmul(self._precisions, r[..., None])[..., 0]
         return pr, self._log_coef - 0.5 * (r * pr).sum(-1)
 
+    def _point(self, x):
+        """_terms for one point (n,) of shape _point_shape, in Python floats:
+        the K rows of P_k (x - mu_k), max lj, the shifted exponentials
+        exp(lj_k - max lj) and their sum.
+
+        The difference x - mu_k, the precision product (BLAS) and exp stay
+        numpy calls, as the product's and exp's bits are the compiled
+        kernels'.  max() passes over a NaN that numpy's max returns, but a
+        NaN log joint makes every result NaN either way."""
+        r = x - self._means
+        pr = np.matmul(self._precisions, r[..., None])[..., 0].tolist()
+        lj = []
+        for c, rk, pk in zip(self._point_coef, r.tolist(), pr):
+            q = 0.0
+            for a, b in zip(rk, pk):
+                q += a * b
+            lj.append(c - 0.5 * q)
+        top = max(lj)
+        w = np.exp([v - top for v in lj]).tolist()
+        total = 0.0
+        for v in w:
+            total += v
+        return pr, top, w, total
+
     def log_density(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape == self._point_shape:
+            _, top, _, total = self._point(x)
+            return top + np.log(total)
         lj = self._terms(x)[1]
         top = lj.max(-1)
         return top + np.log(np.exp(lj - top[..., None]).sum(-1))
 
     def score(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape == self._point_shape:
+            pr, _, w, total = self._point(x)
+            out = []
+            for col in zip(*pr):
+                s = 0.0
+                for wk, p in zip(w, col):
+                    s += wk * p
+                out.append(-s / total)
+            return np.array(out)
         pr, lj = self._terms(x)
         w = np.exp(lj - lj.max(-1, keepdims=True))
         return -(w[..., None] * pr).sum(-2) / w.sum(-1, keepdims=True)

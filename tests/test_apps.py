@@ -207,6 +207,27 @@ class TestTargets:
             for _ in range(10):
                 assert tgt.check_gradient(rng.uniform(-1.5, 1.5, tgt.dim))
 
+    @pytest.mark.parametrize("means, covs, got", [
+        ([[0.0], [1.0], [2.0]], [[[1.0]], [[1.0]]], "weights 2, means 3, covs 2"),
+        ([[0.0], [1.0]], [[[1.0]], [[1.0]], [[1.0]]], "weights 2, means 2, covs 3"),
+    ])
+    def test_mixture_count_mismatch_rejected(self, means, covs, got):
+        """zip used to drop the extra mean or cov and build a 2-component mixture."""
+        with pytest.raises(ContractViolationError, match=f"per weight, got {got}$"):
+            mixture_target([0.5, 0.5], means, covs)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.inf, np.nan])
+@pytest.mark.parametrize("run", [
+    lambda dt: sghmc_sample(gaussian_target([0.0], [[1.0]]), n_steps=10, dt=dt, seed=0),
+    lambda dt: anneal(double_well_target(1), n_steps=10, dt=dt, seed=0),
+], ids=["sghmc", "anneal"])
+def test_nonpositive_dt_rejected(run, dt):
+    """dt = 0 used to return a frozen chain, and dt < 0 warned in np.sqrt and
+    reported a divergence at t = -0.1."""
+    with pytest.raises(ContractViolationError, match="^dt must be finite and positive"):
+        run(dt)
+
 
 class TestSGHMC:
     def test_gaussian_stationary_covariance(self):

@@ -210,6 +210,20 @@ class TestExitCodes:
         ("sample-diffusion", {"seed": 0, "dim": 2, "score": {
             "kind": "analytic_gaussian", "mean": [0.0, 0.0], "cov": np.eye(3).tolist()}},
          "config field score.cov must fit dim 2, got shape (3, 3)"),
+        ("sgld", {"seed": 0, "n_steps": 10, "target": {
+            "kind": "mixture", "weights": [0.5, 0.5], "means": [[0.0], [1.0], [2.0]],
+            "covs": [[[1.0]], [[1.0]]]}}, "got weights 2, means 3, covs 2"),
+        ("sgld", {"seed": 0, "n_steps": 10, "target": {
+            "kind": "mixture", "weights": [0.5, 0.5], "means": [[0.0], [1.0]],
+            "covs": [[[1.0]], [[1.0]], [[1.0]]]}}, "got weights 2, means 2, covs 3"),
+        ("sghmc", {"seed": 0, "target": GAUSS, "n_steps": 10, "dt": 0.0},
+         "dt must be finite and positive, got 0.0"),
+        ("sghmc", {"seed": 0, "target": GAUSS, "n_steps": 10, "dt": -0.1},
+         "dt must be finite and positive, got -0.1"),
+        ("anneal", {"seed": 0, "loss": {"kind": "double_well", "dim": 1}, "n_steps": 10,
+                    "dt": 0.0}, "dt must be finite and positive, got 0.0"),
+        ("anneal", {"seed": 0, "loss": {"kind": "double_well", "dim": 1}, "n_steps": 10,
+                    "dt": -0.1}, "dt must be finite and positive, got -0.1"),
     ])
     def test_out_of_range_exit_2(self, tmp_path, command, cfg, words):
         path = write_config(tmp_path, "c.yaml", {**cfg, "output_dir": str(tmp_path / "o")})

@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 
 import thermosim
 from thermosim import ContractViolationError, Gaussian, GaussianMixture
+from thermosim.potentials import DoubleWellPotential
 
 
 def make_mixture():
@@ -82,6 +83,55 @@ class TestMixtureBatch:
         with pytest.raises(ContractViolationError):
             GaussianMixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
                                          Gaussian([0.0, 0.0], np.eye(2))])
+
+
+def _probe_points(rng, n, means):
+    """Random points, the modes and points far from every mode, and rows of
+    +-inf, NaN and signed zeros."""
+    return np.concatenate([3.0 * rng.standard_normal((200, n)), means,
+                           50.0 * rng.standard_normal((20, n)), 50.0 * means,
+                           rng.choice([np.inf, -np.inf, np.nan, 0.5, 0.0, -0.0], (60, n))])
+
+
+def _same(got, want, x):
+    """Equal type and values, NaN matching NaN, and a zero's sign kept."""
+    assert type(got) is type(want), x
+    assert np.array_equal(got, want, equal_nan=True), x
+    zero = np.asarray(want) == 0
+    assert np.array_equal(np.signbit(got)[zero], np.signbit(want)[zero]), x
+
+
+class TestOnePoint:
+    """One point of at most 7 coordinates (and a mixture of at most 7
+    components) is evaluated in Python floats; it must give the bits and
+    types of the array path, here the row of a batch of one.  At 8 numpy
+    sums pairwise, so the array path serves both calls."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_mixture_matches_array_row(self, K, n):
+        rng = np.random.default_rng(100 * K + n)
+        weights = rng.uniform(0.2, 1.0, K)
+        comps = []
+        for k in range(K):
+            a = rng.standard_normal((n, n))
+            mean = rng.standard_normal(n) if k else np.zeros(n)
+            comps.append(Gaussian(mean, a @ a.T + 0.3 * np.eye(n)))
+        mix = GaussianMixture(weights / weights.sum(), comps)
+        assert (mix._point_shape is None) == (max(K, n) > 7)
+        with np.errstate(all="ignore"):
+            for x in _probe_points(rng, n, mix._means):
+                _same(mix.score(x), mix.score(x[None])[0], x)
+                _same(mix.log_density(x), mix.log_density(x[None])[0], x)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_double_well_matches_array_row(self, n):
+        rng = np.random.default_rng(n)
+        well = DoubleWellPotential()
+        with np.errstate(all="ignore"):
+            for x in _probe_points(rng, n, np.array([[1.0] * n, [-1.0] * n])):
+                _same(well.value(0.0, x), well.value(0.0, x[None]), x)
+                _same(well.gradient(0.0, x), well.gradient(0.0, x[None])[0], x)
 
 
 def _scipy_modules_after(code):
