@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_sde import (SDEModel, _check_diverged, _count, _grid, _integrate, _path, _spd,
-                       _vector, trajectory_rng)
+                       _step_size, _vector, trajectory_rng)
 from .demon import AnalyticScoreDemon
 from .errors import ContractViolationError
 from .gates import GateProgram, constant_schedule
@@ -68,13 +68,12 @@ def diffusion_forward(spec: DiffusionSpec, x0_batch, dt, seed):
     X = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if not np.all(np.isfinite(X)):
         raise ContractViolationError("x0 batch must be finite")
-    n_steps = _grid(0.0, spec.T, dt)
+    times, dts = _grid(0.0, spec.T, dt)
     eye = np.eye(spec.dim)
     program = GateProgram(schedule_A=constant_schedule("drift_super", spec.f, 0.0, spec.T),
                           schedule_C=constant_schedule("diffusion_super", spec.g, 0.0, spec.T))
-    out = _path(SDEModel(eye, np.zeros(spec.dim), eye), program, None, X,
-                dt * np.arange(n_steps), np.full(n_steps, dt), seed)
-    return dt * np.arange(n_steps + 1), out
+    return times, _path(SDEModel(eye, np.zeros(spec.dim), eye), program, None, X, times, dts,
+                        seed)
 
 
 def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
@@ -84,7 +83,7 @@ def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
     score as its demon.  Sample i draws its prior row, then its noise, from
     trajectory_rng(seed, i); a divergence names the sample, step and tau."""
     _count(n_samples, "n_samples")
-    n_steps, T, n = _grid(0.0, spec.T, dt), spec.T, spec.dim
+    (times, dts), T, n = _grid(0.0, spec.T, dt), spec.T, spec.dim
     program = GateProgram(
         schedule_A=constant_schedule("drift_super", lambda tau: -spec.f(T - tau), 0.0, T),
         schedule_C=constant_schedule("diffusion_super", lambda tau: spec.g(T - tau), 0.0, T),
@@ -93,8 +92,7 @@ def diffusion_reverse(spec: DiffusionSpec, score, n_samples, dt, seed):
     demon = AnalyticScoreDemon(lambda X, tau: score.query_batch(T - tau, X), n, batched=True)
     eye = np.eye(n)
     return _integrate(SDEModel(eye, np.zeros(n), eye), program, demon, spec.prior_sample,
-                      dt * np.arange(n_steps), np.full(n_steps, dt), seed, n_samples,
-                      what="sample {}")
+                      times, dts, seed, n_samples, what="sample {}")
 
 
 # ------------------------------------------------------------ target catalog
@@ -161,11 +159,6 @@ def _row_products(L, z, scale):
     return out
 
 
-def _positive_dt(dt):
-    if not 0 < dt < np.inf:
-        raise ContractViolationError(f"dt must be finite and positive, got {dt}")
-
-
 def _momentum_chain(force, x, p, Minv, drag, kicks, dt, what, observe=None):
     """Semi-implicit Euler chain of a force demon on momentum s-modes: step k
     kicks p <- p + (force(k, x) - drag p) dt + kicks[k], then drifts
@@ -195,7 +188,7 @@ def sghmc_sample(target: TargetDistribution, mass=None, friction=None,
     mode: each step's grad U carries N(0, V) noise, drawn just before that
     step's kick.  With noise_cov None the gradient is exact.
     """
-    _positive_dt(dt)
+    _step_size(dt)
     n = target.dim
     x = _vector(x0, n, "x0")
     Minv = np.linalg.inv(_spd(mass, n, "mass matrix")[0])
@@ -224,14 +217,16 @@ def sgld_sample(target: TargetDistribution, step_sizes, n_steps=10000, seed=0,
                 x0=None, minibatch_model=None, burn_in=0.2):
     """Langevin chain: dtheta = (eps_t/2) grad log pi dt-equivalent plus
     N(0, eps_t) injection per step.  step_sizes is a constant or a callable
-    of the step index; it must be positive and nonincreasing."""
+    of the step index; they must be finite, positive and nonincreasing."""
     n = target.dim
     rng = trajectory_rng(seed, 0)
     theta = _vector(x0, n, "x0")
     eps_fn = step_sizes if callable(step_sizes) else (lambda k: float(step_sizes))
     eps = np.array([eps_fn(k) for k in range(n_steps)], dtype=float)
-    if not (eps > 0).all() or (eps[1:] > eps[:-1] + 1e-15).any():
-        raise ContractViolationError("step sizes must be positive and nonincreasing")
+    for e in (eps.min(), eps.max()) if eps.size else ():  # a NaN carries through both
+        _step_size(e, "step size")
+    if (eps[1:] > eps[:-1] + 1e-15).any():
+        raise ContractViolationError("step sizes must be nonincreasing")
     half = 0.5 * eps
     chain = np.empty((n_steps, n))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -286,8 +281,7 @@ def hmc_sample(target: TargetDistribution, mass=None, n_leapfrog=10, step=0.1,
     one value call.  Returns (chain, acceptance rate)."""
     if n_leapfrog < 1:
         raise ContractViolationError("need at least one leapfrog step")
-    if not step > 0:
-        raise ContractViolationError("step must be positive")
+    _step_size(step, "step")
     if n_iter < 1:
         raise ContractViolationError("need at least one iteration")
     n = target.dim
@@ -329,7 +323,7 @@ def anneal(loss: TargetDistribution, S=None, n_steps=20000, dt=1e-2, seed=0,
 
     Returns (best x seen, post-burn-in x chain); the first strict minimum
     of lam L wins, and a NaN loss never does."""
-    _positive_dt(dt)
+    _step_size(dt)
     n = loss.dim
     S = np.eye(n) if S is None else np.atleast_2d(np.asarray(S, dtype=float))
     if not np.all(np.isfinite(S)):
@@ -387,16 +381,15 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
     if H.ndim != 2 or H.shape[1] != spec.hidden_dim or not np.all(np.isfinite(H)):
         raise ContractViolationError("input batch must be a finite (batch, hidden_dim) array")
     w = _vector(w0, spec.weight_dim, "w0")
-    n_steps = _grid(0.0, T, dt)
+    times, dts = _grid(0.0, T, dt)
     rng = trajectory_rng(seed, 0)
-    Hs = np.empty((n_steps + 1,) + H.shape)
-    Ws = np.empty((n_steps + 1, spec.weight_dim))
+    Hs = np.empty((len(times),) + H.shape)
+    Ws = np.empty((len(times), spec.weight_dim))
     Hs[0], Ws[0] = H, w
-    kicks = rng.standard_normal((n_steps, spec.weight_dim))
-    t = 0.0
+    kicks = rng.standard_normal((len(dts), spec.weight_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         kicks *= spec.sigma * np.sqrt(dt)
-        for k in range(n_steps):
+        for k, t in enumerate(times[:-1].tolist()):
             if mode == "prior":
                 drift_w = np.zeros_like(w) if spec.f_w is None else \
                     np.asarray(spec.f_w(t, w), dtype=float)
@@ -404,10 +397,8 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
                 drift_w = np.asarray(spec.posterior_net(t, w), dtype=float) + w
             H = H + np.asarray(spec.f_h(t, H, w), dtype=float) * dt
             w = w + drift_w * dt + kicks[k]
-            t += dt
             Hs[k + 1], Ws[k + 1] = H, w
-    times = dt * np.arange(n_steps + 1)
-    _check_diverged(np.concatenate([Hs[1:].reshape(n_steps, 1, -1), Ws[1:, None]], axis=2),
+    _check_diverged(np.concatenate([Hs[1:].reshape(len(dts), 1, -1), Ws[1:, None]], axis=2),
                     0, 0, times[1:])
     return times, Hs, Ws
 
@@ -415,27 +406,24 @@ def weight_diffuser_rollout(spec: NSDESpec, mode, input_batch, T, dt, seed, w0=N
 def latent_sde_rollout(model: SDEModel, program, demon, h0, checkpoint_times,
                        t0=0.0, dt=1e-2, seed=0):
     """Run the programmed SDE from h0 and read the state at the requested
-    times; the step is shrunk per segment so every checkpoint lands on the
-    grid exactly.  The path is trajectory 0 of trajectory_rng(seed, 0) in
-    the ensemble stepper, with its divergence check."""
-    if not dt > 0:
-        raise ContractViolationError("dt must be positive")
+    times; each gap between checkpoints is a _grid whose step is shrunk so
+    the checkpoint lands on it exactly.  The path is trajectory 0 of
+    trajectory_rng(seed, 0) in the ensemble stepper, with its checks."""
+    _step_size(dt)
     checkpoints = [float(t) for t in checkpoint_times]
-    if not (np.all(np.isfinite(checkpoints)) and np.all(np.diff(checkpoints) > 0)):
-        raise ContractViolationError("checkpoint times must be finite and increasing")
-    if checkpoints and checkpoints[0] < t0:
-        raise ContractViolationError("checkpoint before rollout start")
-    if program is not None and program.domain is not None:
-        if checkpoints and checkpoints[-1] > program.domain[1] + 1e-12:
-            raise ContractViolationError("checkpoint outside program horizon")
+    if not (np.all(np.isfinite([t0] + checkpoints)) and np.all(np.diff(checkpoints) > 0)
+            and t0 <= min(checkpoints, default=t0)):
+        raise ContractViolationError("t0 and the checkpoint times must be finite, and the "
+                                     "checkpoints increasing from t0")
     v = _vector(h0, model.dim, "h0")
-    t, k, times, dts, marks = t0, 0, [np.empty(0)], [np.empty(0)], []
+    t, k, times, dts, marks = t0, 0, [np.array([t0])], [np.empty(0)], []
     for tk in checkpoints:
         if abs(tk - t) >= 1e-12:
             n = max(1, int(np.ceil((tk - t) / dt - 1e-9)))
-            times.append(t + (tk - t) / n * np.arange(n))
-            dts.append(np.full(n, (tk - t) / n))
-            t, k = tk, k + n
+            grid, steps = _grid(t, tk, (tk - t) / n)
+            times.append(grid[1:])
+            dts.append(steps)
+            t, k = tk, k + len(steps)
         marks.append(k)
     path = _path(model, program, demon, v[None], np.concatenate(times),
                  np.concatenate(dts), seed)

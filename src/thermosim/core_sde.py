@@ -322,15 +322,33 @@ def _spd(X, n, name, psd=False):
         raise ContractViolationError(f"{name} must be SPD") from exc
 
 
+def _step_size(dt, name="dt"):
+    """The one step-size check: ``dt`` must be finite and positive."""
+    if not 0 < dt < np.inf:
+        raise ContractViolationError(f"{name} must be finite and positive, got {dt}")
+
+
 def _grid(t0, tf, dt):
-    if not tf > t0:
-        raise ContractViolationError("tf must exceed t0")
-    if not 0 < dt <= tf - t0:
-        raise ContractViolationError("dt must lie in (0, tf - t0]")
+    """The one uniform grid: (times, dts), times = t0 + dt * arange(n + 1) with
+    times[-1] = tf exactly and dts = n copies of dt, so every map is built
+    from dt itself.  dt must divide tf - t0 within rounding."""
+    _step_size(dt)
+    if not 0 < tf - t0 < np.inf:  # also refuses a NaN or infinite end
+        raise ContractViolationError(f"t0 and tf must be finite with tf > t0, got {t0}, {tf}")
     n_steps = int(round((tf - t0) / dt))
     if abs(n_steps * dt - (tf - t0)) > 1e-9 * max(1.0, abs(tf - t0)):
         raise ContractViolationError("dt does not divide (tf - t0) within rounding")
-    return n_steps
+    times = t0 + dt * np.arange(n_steps + 1)
+    times[-1] = tf
+    return times, np.full(n_steps, dt)
+
+
+def _check_domain(program, times):
+    """Refuse a program whose domain misses the grid by over Schedule's 1e-12."""
+    lo, hi = getattr(program, "domain", None) or (times[0], times[-1])
+    if times[0] < lo - 1e-12 or times[-1] > hi + 1e-12:
+        raise ContractViolationError(f"gate program domain [{lo:g}, {hi:g}] does not cover "
+                                     f"the grid [{times[0]:g}, {times[-1]:g}]")
 
 
 def _propagators(model, program, step_times, dts):
@@ -381,11 +399,11 @@ def _check_diverged(X, k, start, ends, what="trajectory {}"):
                           t=float(ends[k + j]), max_abs=float(np.max(np.abs(X[j, i]))))
 
 
-def _integrate(model, program, demon, initial_sampler, step_times, dts, base_seed, n_rows,
+def _integrate(model, program, demon, initial_sampler, times, dts, base_seed, n_rows,
                observe=None, chunk=CHUNK_SIZE, keep_final=True, what="trajectory {}"):
     """The one stepper: step rows 0..n_rows-1 of the (programmed,
-    demon-driven) device over the whole grid, step k from step_times[k] by
-    dts[k], ``chunk`` rows at a time; return their final states
+    demon-driven) device over the whole grid (_check_domain), step k from
+    times[k] by dts[k], ``chunk`` rows at a time; return their final states
     (n_rows, N), or None without keep_final.
 
     The per-step maps (_propagators) and the buffers are made once per call
@@ -403,8 +421,10 @@ def _integrate(model, program, demon, initial_sampler, step_times, dts, base_see
     tiled row over the sub-block viewed as (s, m N): one long inner loop,
     not m of N.  ``what`` names a diverged row, as in _check_diverged.
     """
+    _check_domain(program, times)
+    step_times, ends = times[:-1], times[1:]
     M, S, c, E = _propagators(model, program, step_times, dts)
-    n_steps, n, ends = len(step_times), model.dim, step_times + dts
+    n_steps, n = len(dts), model.dim
     width = min(chunk, n_rows)
     block, sub = _block_steps(width, n, n_steps)
     noise_buf, Vs_buf, drift_buf = (np.empty(width * block * n),
@@ -462,17 +482,17 @@ def _integrate(model, program, demon, initial_sampler, step_times, dts, base_see
     return finals
 
 
-def _path(model, program, demon, V0, step_times, dts, seed):
-    """Whole path (m, steps + 1, N) of the trajectories starting at the rows
-    of V0 (m, N), stepped as one chunk; row i draws its noise from
-    trajectory_rng(seed, i)."""
-    out = np.empty((len(V0), len(step_times) + 1, model.dim))
+def _path(model, program, demon, V0, times, dts, seed):
+    """Whole path (m, steps + 1, N) on the grid ``times`` of the trajectories
+    starting at the rows of V0 (m, N), stepped as one chunk; row i draws its
+    noise from trajectory_rng(seed, i)."""
+    out = np.empty((len(V0), len(times), model.dim))
 
     def record(start, k, X):
         out[:, k:k + len(X)] = X.transpose(1, 0, 2)
 
     rows = iter(V0)
-    _integrate(model, program, demon, lambda rng: next(rows), step_times, dts, seed, len(V0),
+    _integrate(model, program, demon, lambda rng: next(rows), times, dts, seed, len(V0),
                record, len(V0))
     return out
 
@@ -485,13 +505,9 @@ def simulate_trajectory(model: SDEModel, program=None, demon=None, v0=None, t0=0
     batch drawing from trajectory_rng(seed, 0), so it equals
     simulate_ensemble(n_traj=1, base_seed=seed) bit for bit.
     """
-    n_steps = _grid(t0, tf, dt)
+    times, dts = _grid(t0, tf, dt)
     v0 = _vector(v0, model.dim, "v0")
-    step_times, dts = t0 + dt * np.arange(n_steps), np.full(n_steps, dt)
-    values = _path(model, program, demon, v0[None], step_times, dts, seed)[0]
-    times = t0 + dt * np.arange(n_steps + 1)
-    times[-1] = tf
-    return Trajectory(times, values)
+    return Trajectory(times, _path(model, program, demon, v0[None], times, dts, seed)[0])
 
 
 def fixed_initial(v0):
@@ -539,8 +555,8 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
     """
     _count(n_traj, "n_traj")
     _count(chunk_size, "chunk_size")
-    n_steps = _grid(t0, tf, dt)
-    n = model.dim
+    times, dts = _grid(t0, tf, dt)
+    n_steps, n = len(dts), model.dim
     if initial_sampler is None:
         initial_sampler = fixed_initial(np.zeros(n))
     # Sums run over deviations from a shift, trajectory 0's own state, which
@@ -565,13 +581,10 @@ def simulate_ensemble(model: SDEModel, program=None, demon=None, initial_sampler
         sum_d[k:k + s] += np.matmul(D, np.ones(m))
         sum_dd[k:k + s] += np.matmul(D, D.transpose(0, 2, 1))
 
-    finals = _integrate(model, program, demon, initial_sampler, t0 + dt * np.arange(n_steps),
-                        np.full(n_steps, dt), base_seed, n_traj, accumulate, chunk_size,
-                        keep_final)
+    finals = _integrate(model, program, demon, initial_sampler, times, dts, base_seed, n_traj,
+                        accumulate, chunk_size, keep_final)
     del work
 
-    times = t0 + dt * np.arange(n_steps + 1)
-    times[-1] = tf
     # The sums become d, the means and the covariances in place, one (T,)
     # column at a time, by the operations of the whole-array form; a
     # diagonal entry's (c + c) / 2 is c itself.
@@ -604,14 +617,14 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
     loop itself has symmetrised, into preallocated rows without a second
     check.  Without a program C C^T is formed once.  Moments that overflow
     raise DivergenceError naming the first step and time whose mean or
-    covariance is non-finite.
+    covariance is non-finite.  The times are simulate_ensemble's (_grid),
+    and a program must cover them (_check_domain).
     """
-    n_steps = _grid(t0, tf, dt)
-    n = model.dim
-    times = np.empty(n_steps + 1)
+    times, dts = _grid(t0, tf, dt)
+    _check_domain(program, times)
+    n_steps, n = len(dts), model.dim
     means = np.empty((n_steps + 1, n))
     covs = np.empty((n_steps + 1, n, n))
-    times[0] = t0
     means[0] = _vector(mu0, n, "mu0")
     covs[0] = _spd(np.zeros((n, n)) if cov0 is None else cov0, n, "cov0", psd=True)[0]
 
@@ -627,12 +640,12 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
         return A @ mu + b, A @ cov + cov @ A.T + Q
 
     # Coefficients are evaluated once per distinct time: k2 and k3 share the
-    # midpoint, and k4's t + dt is the next step's start.
-    t, start = t0, coefficients(t0)
+    # midpoint, and k4's grid time is the next step's start.
+    start, grid = coefficients(t0), times.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             mu, cov = means[k], covs[k]
-            mid, end = coefficients(t + dt / 2), coefficients(t + dt)
+            mid, end = coefficients(grid[k] + dt / 2), coefficients(grid[k + 1])
             k1m, k1c = rhs(*start, mu, cov)
             k2m, k2c = rhs(*mid, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
             k3m, k3c = rhs(*mid, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
@@ -640,8 +653,7 @@ def propagate_moments(model: SDEModel, program=None, mu0=None, cov0=None,
             means[k + 1] = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
             cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
             covs[k + 1] = (cov + cov.T) / 2
-            t, start = t + dt, end
-            times[k + 1] = t
+            start = end
 
     # A non-finite entry stays non-finite in every later step, so the last
     # row tells whether any step overflowed.

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .core_sde import _spd, _vector, write_compact_json
+from .core_sde import _spd, _step_size, _vector, write_compact_json
 from .errors import ContractViolationError
 from .mlp import MLP
 from .potentials import Gaussian, GaussianMixture, central_difference_gradient
@@ -189,8 +189,7 @@ def total_derivative_step(demon: TotalDerivativeDemon, t, v, dv_dt, dt):
     For a batch, d is (m, M) and v, dv_dt are (m, N) rows; q and r still
     take one state vector, so they are called once per row.
     """
-    if dt <= 0:
-        raise ContractViolationError("dt must be positive")
+    _step_size(dt)
     D = demon.d.reshape(-1, demon.d.shape[-1])
     V = np.asarray(v, dtype=float).reshape(len(D), -1)
     dV = np.asarray(dv_dt, dtype=float).reshape(V.shape)

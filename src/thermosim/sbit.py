@@ -42,17 +42,17 @@ class _Segment:
 
 
 class RateSchedule:
-    """Nonnegative rate function given piecewise (constant or linear)."""
+    """Finite, nonnegative rate function given piecewise (constant or linear)."""
 
     def __init__(self, segments):
         segments = list(segments)
         if not segments:
             raise ContractViolationError("rate schedule needs at least one segment")
         for seg in segments:
-            if seg.t_end <= seg.t_start:
-                raise ContractViolationError("rate segment needs t_start < t_end")
-            if seg.v0 < 0 or seg.v1 < 0:
-                raise ContractViolationError("rates must be nonnegative")
+            if not (np.isfinite(seg.t_start) and seg.t_end > seg.t_start):
+                raise ContractViolationError("rate segment needs a finite t_start < t_end")
+            if not (0 <= seg.v0 < np.inf and 0 <= seg.v1 < np.inf):
+                raise ContractViolationError("rates must be finite and nonnegative")
         for prev, cur in zip(segments, segments[1:]):
             if abs(prev.t_end - cur.t_start) > 1e-12:
                 raise ContractViolationError("rate segments must be contiguous")

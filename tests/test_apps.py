@@ -74,6 +74,31 @@ class TestDiffusionForward:
         with pytest.raises(ContractViolationError):
             diffusion_forward(spec, [[np.nan]], 0.01, seed=0)
 
+    def test_last_time_is_T(self):
+        """The times were dt * arange(n + 1), which ends at
+        0.30000000000000004 for T = 0.3."""
+        times, X = diffusion_forward(DiffusionSpec("ve", 1, T=0.3), [[0.0]], 0.1, seed=0)
+        assert times[-1] == 0.3
+        np.testing.assert_array_equal(times[:-1], 0.1 * np.arange(3))
+        assert X.shape == (1, 4, 1)
+
+    @pytest.mark.parametrize("T, dt, words", [
+        (np.inf, 0.1, "t0 and tf must be finite with tf > t0"),
+        (1.0, np.inf, "dt must be finite and positive, got inf"),
+        (1.0, np.nan, "dt must be finite and positive, got nan"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda T, dt: diffusion_forward(DiffusionSpec("ve", 1, T=T), [[0.0]], dt, seed=0),
+        lambda T, dt: diffusion_reverse(DiffusionSpec("ve", 1, T=T), AnalyticScoreDemon(
+            lambda X, t: -X, 1, batched=True), 2, dt, seed=0),
+        lambda T, dt: weight_diffuser_rollout(NSDESpec(1, 1, lambda t, H, w: H), "prior",
+                                              [[1.0]], T, dt, seed=0),
+    ], ids=["forward", "reverse", "rollout"])
+    def test_nonfinite_grid_is_a_contract_violation(self, run, T, dt, words):
+        """T = inf used to overflow in int(round(...))."""
+        with pytest.raises(ContractViolationError, match=words):
+            run(T, dt)
+
     def test_dt_must_divide_horizon(self):
         spec = DiffusionSpec("vp", 1, T=1.0)
         with pytest.raises(ContractViolationError):
@@ -227,6 +252,24 @@ def test_nonpositive_dt_rejected(run, dt):
     reported a divergence at t = -0.1."""
     with pytest.raises(ContractViolationError, match="^dt must be finite and positive"):
         run(dt)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("run, words", [
+    (lambda s: hmc_sample(gaussian_target([0.0], [[1.0]]), step=s, n_iter=5, burn_in=0),
+     "step"),
+    (lambda s: sgld_sample(gaussian_target([0.0], [[1.0]]), s, n_steps=5, burn_in=0),
+     "step size"),
+    (lambda s: sgld_sample(gaussian_target([0.0], [[1.0]]), lambda k: s if k == 2 else 0.1,
+                           n_steps=5, burn_in=0), "step size"),
+], ids=["hmc", "sgld", "sgld-schedule"])
+def test_nonfinite_step_size_rejected(run, words, bad):
+    """HMC took step = inf and returned acceptance 0.0 with a frozen chain;
+    SGLD took step_sizes = inf and exited as a divergence at t = inf, and a
+    NaN inside a schedule passed its ordering check."""
+    with pytest.raises(ContractViolationError,
+                       match=f"^{words} must be finite and positive, got {bad}$"):
+        run(bad)
 
 
 class TestSGHMC:
@@ -545,6 +588,20 @@ class TestWeightDiffuser:
         np.testing.assert_array_equal(H_out, Hs)
         np.testing.assert_array_equal(W_out, Ws)
 
+    def test_drift_sees_grid_times_ending_at_T(self):
+        """The loop summed t += dt, so the drift saw 0.30000000000000004 at
+        step 3 of T = 0.7, dt = 0.1, and the last time was 0.7000000000000001."""
+        seen = []
+
+        def f_h(t, H, w):
+            seen.append(t)
+            return 0.0 * H
+
+        times, _, _ = weight_diffuser_rollout(NSDESpec(1, 1, f_h), "prior", [[1.0]], 0.7, 0.1,
+                                              seed=0)
+        assert times[-1] == 0.7
+        assert seen == (0.1 * np.arange(7)).tolist() == times[:-1].tolist()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_batch_rejected_before_any_step(self, bad):
         def f_h(t, H, w):
@@ -681,6 +738,31 @@ class TestLatentRollout:
         model = SDEModel(A0=[[400.0]], b0=[0.0], C0=[[0.0]])
         with pytest.raises(DivergenceError, match="t=0.18"):
             latent_sde_rollout(model, None, None, [1.0], [0.5, 1.0], dt=0.01)
+
+    def test_short_program_refused_before_any_step(self, monkeypatch):
+        calls = []
+        coefficients = GateProgram.coefficients
+        monkeypatch.setattr(GateProgram, "coefficients",
+                            lambda self, model, t: calls.append(t) or coefficients(self, model, t))
+        model = SDEModel(A0=[[-1.0]], b0=[1.0], C0=[[1.0]])
+        program = GateProgram(schedule_b=Schedule(
+            [GateSegment(Generator.scalar("drift_vec", 0.5), 0.0, 0.55)]))
+        with pytest.raises(ContractViolationError,
+                           match=r"domain \[0, 0.55\] does not cover the grid \[0, 0.6\]"):
+            latent_sde_rollout(model, program, None, [1.0], [0.3, 0.6], dt=0.1)
+        assert calls == []
+
+    @pytest.mark.parametrize("t0, dt, words", [
+        (np.nan, 0.1, "t0 and the checkpoint times must be finite"),
+        (-np.inf, 0.1, "t0 and the checkpoint times must be finite"),
+        (0.0, np.inf, "dt must be finite and positive, got inf"),
+        (0.0, np.nan, "dt must be finite and positive, got nan"),
+    ])
+    def test_nonfinite_start_or_step_rejected(self, t0, dt, words):
+        """t0 = nan used to return h0 at every checkpoint, and dt = inf was taken."""
+        model = SDEModel(A0=[[-1.0]], b0=[0.0], C0=[[1.0]])
+        with pytest.raises(ContractViolationError, match=f"^{words}"):
+            latent_sde_rollout(model, None, None, [1.0], [0.5, 1.0], t0=t0, dt=dt)
 
     def test_programmed_checkpoints_at_start_take_no_step(self):
         model = SDEModel(A0=[[-1.0]], b0=[1.0], C0=[[1.0]])

@@ -188,7 +188,7 @@ class TestExitCodes:
          "w0 must be finite, of length 4"),
         ("latent-rollout", {"seed": 0, "model": {"A0": [[-1.0]], "b0": [0.0], "C0": [[1.0]]},
                             "h0": [1.0], "checkpoints": [0.5], "dt": 0.0},
-         "dt must be positive"),
+         "dt must be finite and positive, got 0.0"),
         ("sample-diffusion", {"seed": 0, "kind": "vq", "score": {"kind": "analytic_gaussian",
                                                                  "mean": [0.0], "cov": [[1.0]]}},
          "kind must be 'vp' or 've'"),
@@ -502,6 +502,16 @@ class TestGatePrograms:
         result = self.run(tmp_path, command, segments)
         assert result.exit_code == 2, result.output
         assert words in result.output
+
+    @pytest.mark.parametrize("command", ["simulate", "latent-rollout"])
+    def test_short_program_exit_2_before_any_artifact(self, tmp_path, command):
+        """simulate used to step past a program ending before tf, write
+        trajectory.csv and moments.json, and only then exit 2 in the oracle."""
+        result = self.run(tmp_path, command, [self.segment("scalar", 0.3, 0.0, 0.95,
+                                                           target="drift_vec")])
+        assert result.exit_code == 2, result.output
+        assert "gate program domain [0, 0.95] does not cover the grid [0, 1]" in result.output
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("compose", ["false", {"drift_super": "false"}])
     def test_non_boolean_compose_exit_2(self, tmp_path, compose):

@@ -122,6 +122,74 @@ class TestSimulateTrajectory:
         assert len(lines) == 4
 
 
+def short_program(tf):
+    """A drift_vec program over [0, tf]."""
+    return GateProgram(schedule_b=Schedule(
+        [GateSegment(Generator.scalar("drift_vec", 0.5), 0.0, tf)]))
+
+
+class TestGrid:
+    """One grid for the trajectory, the ensemble and the oracle: the same
+    times, ending at tf exactly, under one set of input checks."""
+
+    @pytest.mark.parametrize("program", [None, short_program(2.0)], ids=["bare", "programmed"])
+    def test_oracle_times_are_the_ensemble_times(self, program):
+        """The oracle summed t += dt: on this grid its times differed from
+        the ensemble's in 1 989 of 2 001 entries."""
+        m = vp_model(4)
+        oracle = propagate_moments(m, program, tf=2.0, dt=1e-3)
+        summary = simulate_ensemble(m, program, tf=2.0, dt=1e-3, n_traj=2)
+        traj = simulate_trajectory(m, program, tf=2.0, dt=1e-3)
+        np.testing.assert_array_equal(oracle.times, summary.times)
+        np.testing.assert_array_equal(traj.times, summary.times)
+
+    @pytest.mark.parametrize("t0, tf, dt", [(0.0, 0.3, 0.1), (0.0, 2.0, 1e-3), (0.1, 0.7, 0.2)])
+    def test_last_time_is_tf(self, t0, tf, dt):
+        m = vp_model()
+        for times in (simulate_trajectory(m, t0=t0, tf=tf, dt=dt).times,
+                      simulate_ensemble(m, t0=t0, tf=tf, dt=dt).times,
+                      propagate_moments(m, t0=t0, tf=tf, dt=dt).times):
+            assert times[-1] == tf
+            np.testing.assert_array_equal(times[:-1], t0 + dt * np.arange(len(times) - 1))
+
+    @pytest.mark.parametrize("run", [
+        lambda m, p: simulate_trajectory(m, p, tf=0.6, dt=0.1),
+        lambda m, p: simulate_ensemble(m, p, tf=0.6, dt=0.1, n_traj=3),
+        lambda m, p: propagate_moments(m, p, tf=0.6, dt=0.1),
+    ], ids=["trajectory", "ensemble", "oracle"])
+    def test_short_program_refused_before_any_step(self, run, monkeypatch):
+        """The trajectory and the ensemble used to step past the program's
+        end without a word, and the oracle refused it only mid-run."""
+        calls = []
+        coefficients = GateProgram.coefficients
+        monkeypatch.setattr(GateProgram, "coefficients",
+                            lambda self, model, t: calls.append(t) or coefficients(self, model, t))
+        with pytest.raises(ContractViolationError,
+                           match=r"domain \[0, 0.55\] does not cover the grid \[0, 0.6\]"):
+            run(vp_model(), short_program(0.55))
+        assert calls == []
+
+    @pytest.mark.parametrize("t0, tf, dt, words", [
+        (0.0, np.inf, 0.1, "t0 and tf must be finite with tf > t0"),
+        (-np.inf, 1.0, 0.1, "t0 and tf must be finite with tf > t0"),
+        (np.nan, 1.0, 0.1, "t0 and tf must be finite with tf > t0"),
+        (0.0, np.nan, 0.1, "t0 and tf must be finite with tf > t0"),
+        (-1e308, 1e308, 1e300, "t0 and tf must be finite with tf > t0"),
+        (0.0, 1.0, np.inf, "dt must be finite and positive, got inf"),
+        (0.0, 1.0, np.nan, "dt must be finite and positive, got nan"),
+        (0.0, 1.0, 0.0, "dt must be finite and positive, got 0.0"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda m, t0, tf, dt: simulate_trajectory(m, t0=t0, tf=tf, dt=dt),
+        lambda m, t0, tf, dt: simulate_ensemble(m, t0=t0, tf=tf, dt=dt),
+        lambda m, t0, tf, dt: propagate_moments(m, t0=t0, tf=tf, dt=dt),
+    ], ids=["trajectory", "ensemble", "oracle"])
+    def test_nonfinite_grid_is_a_contract_violation(self, run, t0, tf, dt, words):
+        """An infinite end used to overflow in int(round(...))."""
+        with pytest.raises(ContractViolationError, match=f"^{words}"):
+            run(vp_model(), t0, tf, dt)
+
+
 class TestSimulateEnsemble:
     def test_single_trajectory_summary(self):
         m = vp_model()
@@ -397,7 +465,8 @@ class TestPropagateMoments:
     def test_coefficients_once_per_distinct_time(self, monkeypatch):
         """Under a gate program the oracle evaluates the coefficients once at
         each step start and midpoint, 2 n_steps + 1 calls, and equals an RK4
-        that evaluates them afresh at every stage."""
+        that evaluates them afresh at every stage of the grid k dt, whose
+        last time is tf itself."""
         m = SDEModel(A0=[[-1.0, 0.3], [0.0, -0.5]], b0=[0.2, -0.1],
                      C0=[[0.4, 0.0], [0.1, 0.3]])
         K = 0.1 * np.arange(16.0).reshape(4, 4) - 0.8 * np.eye(4)
@@ -424,17 +493,17 @@ class TestPropagateMoments:
             A, b, C, _ = coefficients(prog, m, t)
             return A @ mu + b, A @ cov + cov @ A.T + C @ C.T
 
-        mu, cov, t = mu0, cov0, 0.0
-        for step in oracle[1:]:
+        grid = [dt * k for k in range(1000)] + [1.0]
+        mu, cov = mu0, cov0
+        for t, t_end, step in zip(grid, grid[1:], oracle[1:]):
             k1m, k1c = rhs(t, mu, cov)
             k2m, k2c = rhs(t + dt / 2, mu + dt / 2 * k1m, cov + dt / 2 * k1c)
             k3m, k3c = rhs(t + dt / 2, mu + dt / 2 * k2m, cov + dt / 2 * k2c)
-            k4m, k4c = rhs(t + dt, mu + dt * k3m, cov + dt * k3c)
+            k4m, k4c = rhs(t_end, mu + dt * k3m, cov + dt * k3c)
             mu = mu + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
             cov = cov + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
             cov = (cov + cov.T) / 2
-            t += dt
-            assert step.t == t
+            assert step.t == t_end
             np.testing.assert_array_equal(step.mean, mu)
             np.testing.assert_array_equal(step.cov, cov)
 

@@ -105,6 +105,14 @@ class TestTotalDerivativeDemon:
         total_derivative_step(d, 0.0, np.zeros(1), np.zeros(1), 0.1)
         np.testing.assert_allclose(d.d, [0.1])
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_dt_named(self, dt):
+        """dt = nan used to be reported as "demon output not finite"."""
+        d = self.make(lambda t, v: [1.0], lambda t, v: [[0.0]])
+        with pytest.raises(ContractViolationError,
+                           match=f"^dt must be finite and positive, got {dt}$"):
+            total_derivative_step(d, 0.0, np.zeros(1), np.zeros(1), dt)
+
     def test_tracks_exact_total_derivative(self):
         """d*(t, v) = t v with q = v, r = t I along v(t) = sin(t)."""
 

@@ -24,6 +24,30 @@ class TestRateSchedule:
         with pytest.raises(ContractViolationError):
             RateSchedule.piecewise_constant([0.0, 1.0], [-1.0])
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: RateSchedule.constant(bad),
+        lambda bad: RateSchedule.piecewise_constant([0.0, 1.0, 2.0], [1.0, bad]),
+        lambda bad: RateSchedule.piecewise_linear([0.0, 1.0], [bad, 1.0]),
+    ], ids=["constant", "piecewise_constant", "piecewise_linear"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_rates_rejected(self, make, bad):
+        """Two infinite rates made the sampler jump at one instant forever, a
+        NaN rate gave no events, and one infinite rate failed later on
+        "jump times must be strictly increasing".  Only the schedule is built
+        here: the sampler did not return on such a schedule."""
+        with pytest.raises(ContractViolationError, match="rates must be finite and nonnegative"):
+            make(bad)
+
+    @pytest.mark.parametrize("times", [[-np.inf, 1.0], [np.nan, 1.0], [0.0, np.nan]])
+    def test_nonfinite_segment_start_or_end_rejected(self, times):
+        with pytest.raises(ContractViolationError, match="needs a finite t_start < t_end"):
+            RateSchedule.piecewise_constant(times, [1.0])
+
+    def test_infinite_last_end_allowed(self):
+        s = RateSchedule.piecewise_constant([0.0, 1.0, np.inf], [1.0, 2.0])
+        assert s.value(1e300) == 2.0
+        assert RateSchedule.constant(1.0).tf == np.inf
+
     def test_horizon_beyond_domain_rejected(self):
         s = RateSchedule.piecewise_constant([0.0, 1.0], [1.0])
         rng = np.random.default_rng(0)

@@ -13,6 +13,9 @@ runs, in this order:
    the per-layer metrics and exact counts;
 3. the tier-1 suite, for its wall time and its 15 slowest tests.
 
+It records only a committed tree: when ``git status --porcelain
+--untracked-files=no`` lists a change, it names the changed paths and exits
+2 before any run, since every run is filed under ``git rev-parse HEAD``.
 The file is written even when a step fails; the script then exits 1.
 """
 
@@ -53,6 +56,13 @@ def _spread(values):
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def uncommitted(root):
+    """Tracked paths whose working copy differs from HEAD, as git status lists them."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                          cwd=root, capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
 
 
 def end_to_end(root):
@@ -108,6 +118,11 @@ def main(argv):
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         print("run from the repository root: perfbench/run.py is missing", file=sys.stderr)
+        return 2
+    changed = uncommitted(root)
+    if changed:
+        print("commit first: the runs would be filed under HEAD, but these paths differ "
+              "from it:\n" + "\n".join(changed), file=sys.stderr)
         return 2
     ok_all, provenance, workloads = end_to_end(root)
     ok_trace, trace = traced(root)
