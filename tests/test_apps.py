@@ -82,23 +82,6 @@ class TestDiffusionForward:
         np.testing.assert_array_equal(times[:-1], 0.1 * np.arange(3))
         assert X.shape == (1, 4, 1)
 
-    @pytest.mark.parametrize("T, dt, words", [
-        (np.inf, 0.1, "t0 and tf must be finite with tf > t0"),
-        (1.0, np.inf, "dt must be finite and positive, got inf"),
-        (1.0, np.nan, "dt must be finite and positive, got nan"),
-    ])
-    @pytest.mark.parametrize("run", [
-        lambda T, dt: diffusion_forward(DiffusionSpec("ve", 1, T=T), [[0.0]], dt, seed=0),
-        lambda T, dt: diffusion_reverse(DiffusionSpec("ve", 1, T=T), AnalyticScoreDemon(
-            lambda X, t: -X, 1, batched=True), 2, dt, seed=0),
-        lambda T, dt: weight_diffuser_rollout(NSDESpec(1, 1, lambda t, H, w: H), "prior",
-                                              [[1.0]], T, dt, seed=0),
-    ], ids=["forward", "reverse", "rollout"])
-    def test_nonfinite_grid_is_a_contract_violation(self, run, T, dt, words):
-        """T = inf used to overflow in int(round(...))."""
-        with pytest.raises(ContractViolationError, match=words):
-            run(T, dt)
-
     def test_dt_must_divide_horizon(self):
         spec = DiffusionSpec("vp", 1, T=1.0)
         with pytest.raises(ContractViolationError):
@@ -112,6 +95,24 @@ class TestDiffusionForward:
         _, batch = diffusion_forward(spec, x0, 0.01, seed=3)
         _, alone = diffusion_forward(spec, x0[:1], 0.01, seed=3)
         np.testing.assert_allclose(batch[0], alone[0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("T, dt, words", [
+    (np.inf, 0.1, "t0 and tf must be finite with tf > t0"),
+    (1.0, np.inf, "dt must be finite and positive, got inf"),
+    (1.0, np.nan, "dt must be finite and positive, got nan"),
+])
+@pytest.mark.parametrize("run", [
+    lambda T, dt: diffusion_forward(DiffusionSpec("ve", 1, T=T), [[0.0]], dt, seed=0),
+    lambda T, dt: diffusion_reverse(DiffusionSpec("ve", 1, T=T), AnalyticScoreDemon(
+        lambda X, t: -X, 1, batched=True), 2, dt, seed=0),
+    lambda T, dt: weight_diffuser_rollout(NSDESpec(1, 1, lambda t, H, w: H), "prior",
+                                          [[1.0]], T, dt, seed=0),
+], ids=["forward", "reverse", "rollout"])
+def test_nonfinite_grid_is_a_contract_violation(run, T, dt, words):
+    """T = inf used to overflow in int(round(...))."""
+    with pytest.raises(ContractViolationError, match=words):
+        run(T, dt)
 
 
 class TestDiffusionReverse:

@@ -169,12 +169,14 @@ class TestGrid:
             run(vp_model(), short_program(0.55))
         assert calls == []
 
+    ENDS = "t0 and tf must be finite with tf > t0"
+
     @pytest.mark.parametrize("t0, tf, dt, words", [
-        (0.0, np.inf, 0.1, "t0 and tf must be finite with tf > t0"),
-        (-np.inf, 1.0, 0.1, "t0 and tf must be finite with tf > t0"),
-        (np.nan, 1.0, 0.1, "t0 and tf must be finite with tf > t0"),
-        (0.0, np.nan, 0.1, "t0 and tf must be finite with tf > t0"),
-        (-1e308, 1e308, 1e300, "t0 and tf must be finite with tf > t0"),
+        (0.0, np.inf, 0.1, ENDS),
+        (-np.inf, 1.0, 0.1, ENDS),
+        (np.nan, 1.0, 0.1, ENDS),
+        (0.0, np.nan, 0.1, ENDS),
+        (-1e308, 1e308, 1e300, ENDS),
         (0.0, 1.0, np.inf, "dt must be finite and positive, got inf"),
         (0.0, 1.0, np.nan, "dt must be finite and positive, got nan"),
         (0.0, 1.0, 0.0, "dt must be finite and positive, got 0.0"),
